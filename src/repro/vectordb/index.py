@@ -124,8 +124,7 @@ class FlatVectorIndex:
     """The original single-matrix index behind the :class:`VectorIndex` protocol.
 
     A thin adapter: storage is one :class:`VectorStore`, scoring one
-    matrix–matrix pass through :class:`NearestNeighborSearch`.  Results are
-    bit-for-bit what the pre-protocol code produced.
+    vectorised pass through :class:`NearestNeighborSearch`.
     """
 
     backend = "flat"
@@ -316,7 +315,7 @@ def build_index(
             1 forces sequential scoring.  Results are identical either way.
         compaction: Merge/split thresholds and the auto-trigger policy of
             the sharded backend (:class:`~repro.vectordb.CompactionPolicy`).
-        scoring_backend: ``"thread"`` (BLAS releases the GIL) or
+        scoring_backend: ``"thread"`` (numpy releases the GIL) or
             ``"process"`` (workers attach the shared-memory arena by name;
             sharded backend only).  Results are identical either way.
         quantized_prefilter: Scan each shard's int8 copy first and rerank

@@ -10,8 +10,8 @@ Two entry points share one selection algorithm:
 * :meth:`NearestNeighborSearch.search` — one query (delegates to the batch
   path with a single-row batch, so both paths stay behaviourally identical);
 * :meth:`NearestNeighborSearch.search_many` — a whole batch of queries
-  scored in one matrix–matrix operation, with ``argpartition`` top-k
-  selection instead of materialising a ``Neighbor`` object per stored entry.
+  scored in one vectorised pass, with ``argpartition`` top-k selection
+  instead of materialising a ``Neighbor`` object per stored entry.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from .similarity import SimilarityConfig
+from .similarity import SimilarityConfig, similarity_matrix
 from .store import VectorEntry, VectorStore
 
 
@@ -105,10 +105,11 @@ class NearestNeighborSearch:
     def score_many(self, query_matrix: np.ndarray, query_days: np.ndarray) -> np.ndarray:
         """Similarities of a whole query batch against the stored history.
 
-        One matrix–matrix product scores every (query, entry) pair: squared
-        Euclidean distances come from the Gram expansion
-        ``|q|^2 + |m|^2 - 2 q.m`` and the temporal decay is broadcast over
-        the day gap matrix.
+        Every (query, entry) pair is scored by :func:`similarity_matrix`,
+        whose per-pair distance reduction makes a query's scores independent
+        of its batch-mates and of the store size: scoring ``Q`` queries
+        together and one at a time gives bit-identical rows, so exact score
+        ties break the same way in every batch shape and index layout.
 
         Args:
             query_matrix: ``(Q, dim)`` array of query embeddings.
@@ -132,22 +133,9 @@ class NearestNeighborSearch:
                 f"query dimension {queries.shape[1]} does not match store dimension "
                 f"{matrix.shape[1]}"
             )
-        # In-place pipeline: only two (Q, N) buffers are allocated (the Gram
-        # product and the day-gap matrix), which keeps large batches out of
-        # allocator churn on big histories.
-        scores = queries @ matrix.T
-        scores *= -2.0
-        scores += np.einsum("ij,ij->i", queries, queries)[:, None]
-        scores += self.store.squared_norms()[None, :]
-        np.maximum(scores, 0.0, out=scores)  # guard fp cancellation
-        np.sqrt(scores, out=scores)
-        scores += 1.0  # 1 + distance
-        decay = self.store.created_days()[None, :] - days[:, None]
-        np.abs(decay, out=decay)
-        decay *= -self.config.alpha
-        np.exp(decay, out=decay)
-        decay /= scores
-        return decay
+        return similarity_matrix(
+            queries, days, matrix, self.store.created_days(), self.config.alpha
+        )
 
     # -------------------------------------------------------------- selection
     def _select(
@@ -330,8 +318,8 @@ class NearestNeighborSearch:
     ) -> List[List[Neighbor]]:
         """Top-K neighbours for every query in a batch.
 
-        All queries are scored against the history in one matrix–matrix
-        operation (:meth:`score_many`); per-query selection then uses
+        All queries are scored against the history in one vectorised pass
+        (:meth:`score_many`); per-query selection then uses
         ``argpartition`` prefixes so the cost per query is ``O(N + k log k)``
         without building a ``Neighbor`` per stored entry.
 

@@ -30,8 +30,8 @@ without decay every era of the history matters equally).
 Eligible shards within one scan *wave* can be scored concurrently
 (``max_workers``).  Two scoring backends share one extraction code path:
 
-* ``scoring_backend="thread"`` — numpy releases the GIL inside the BLAS
-  matrix product, so per-shard scoring runs on a thread pool;
+* ``scoring_backend="thread"`` — numpy releases the GIL inside its
+  vectorised scoring loops, so per-shard scoring runs on a thread pool;
 * ``scoring_backend="process"`` — shard payloads live in one shared-memory
   arena (:mod:`~repro.vectordb.shardmem`); workers attach by name and a
   task ships only (shard key, query block, wave-start pool floors), never
@@ -51,10 +51,8 @@ its int8-quantized copy with a conservative error bound, rows whose score
 retention rules) survive, and only the survivors are re-scored in float64.
 Dropped rows provably cannot enter the candidate pool or the per-category
 argmaxes, so the *selected neighbours* — including tie breaks — match the
-pure-float path; reported scores agree to BLAS shape-dependent rounding
-of the identical float64 formula (bit-identical when the dot products are
-exactly representable, e.g. integer-valued vectors at any power-of-two
-scale; within an ulp otherwise).
+pure-float path, and reported scores are bit-identical to it (scoring is
+shape-invariant, see :func:`~repro.vectordb.similarity.similarity_matrix`).
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -90,7 +88,7 @@ from . import shardmem
 from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
 from .shardmem import ArenaSpec, BlockSpec, ShardArena, quantize_rows
-from .similarity import SimilarityConfig
+from .similarity import SimilarityConfig, similarity_matrix
 from .store import VectorEntry, VectorStore
 
 #: Default shard width in days.
@@ -248,36 +246,9 @@ class _ShardData:
         return self._groups
 
 
-def _score_block(
-    data: _ShardData, queries: np.ndarray, days: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Exact similarities of a query block against one shard's rows.
-
-    Replicates :meth:`NearestNeighborSearch.score_many` operation for
-    operation (same in-place pipeline, same order).  Sequential, threaded
-    and process execution score identical blocks, so their results are
-    bit-identical; a *different* block shape (the prefilter's survivor
-    rerank) computes the same float64 formula but BLAS may round the dot
-    product differently in the last bit depending on matrix shape.
-    """
-    scores = queries @ data.matrix.T
-    scores *= -2.0
-    scores += np.einsum("ij,ij->i", queries, queries)[:, None]
-    scores += data.sq_norms[None, :]
-    np.maximum(scores, 0.0, out=scores)  # guard fp cancellation
-    np.sqrt(scores, out=scores)
-    scores += 1.0  # 1 + distance
-    decay = data.days[None, :] - days[:, None]
-    np.abs(decay, out=decay)
-    decay *= -alpha
-    np.exp(decay, out=decay)
-    decay /= scores
-    return decay
-
-
-#: Safety factors of the quantized score bounds.  The f32 gemm term covers
+#: Safety factors of the quantized score bounds.  The f32 dot term covers
 #: cast + accumulation rounding of a ``(dim+4)``-op dot over values
-#: bounded by 127; the subnormal term covers query elements that underflow
+#: bounded by 127, in any summation order; the subnormal term covers query elements that underflow
 #: the normalized f32 cast; the relative slack on the assembled bound
 #: dwarfs every remaining f64 rounding step by ~7 orders of magnitude.
 _QUANT_GEMM_EPS = 2e-7
@@ -292,19 +263,20 @@ def _quant_bounds(
     """Conservative ``(lower, upper)`` score bounds from the int8 copy.
 
     The dot products are approximated on the quantized matrix in float32
-    (the cheap scan the prefilter pays instead of the float64 gemm); the
-    error budget covers quantization (``QUANT_HALF_STEP`` per element),
-    the f32 cast/accumulation, and the f64 assembly of the bound itself.
+    (the cheap scan the prefilter pays instead of the exact float64 pass,
+    an ``einsum`` like the exact scoring it screens for); the error budget
+    covers quantization (``QUANT_HALF_STEP`` per element), the f32
+    cast/accumulation, and the f64 assembly of the bound itself.
     Queries are max-normalized before the f32 cast so adversarially tiny
     or huge query scales cannot underflow the cast.  The guarantee used by
     the prefilter: for every (query, row), ``lower <= s <= upper`` where
-    ``s`` is the exact score :func:`_score_block` would compute.
+    ``s`` is the exact score :func:`similarity_matrix` would compute.
     """
     q8, qscale, _ = data.quant()
     qmax = np.abs(queries).max(axis=1) if queries.shape[1] else np.zeros(queries.shape[0])
     safe_qmax = np.where(qmax > 0.0, qmax, 1.0)
     normalized = (queries / safe_qmax[:, None]).astype(np.float32)
-    approx = (normalized @ q8.astype(np.float32).T).astype(np.float64)
+    approx = np.einsum("qd,nd->qn", normalized, q8.astype(np.float32)).astype(np.float64)
     approx *= safe_qmax[:, None]
     approx *= qscale[None, :]
     q_l1 = np.abs(queries).sum(axis=1)
@@ -557,14 +529,11 @@ def _extract_fast_prefiltered(
     reaches its category group's best lower bound is additionally kept, so
     each group's true argmax (and its exact ties) always survives and the
     folded per-category bests are identical to the pure-float path.  The
-    rerank scores survivors of *all* queries of the block through one
-    float64 gemm over the union of surviving rows (never a per-query
-    gemv), running the exact :func:`_score_block` pipeline — so the
-    selected neighbours match the pure-float path (the bounds carry 1e-9
-    relative slack, dwarfing rounding noise), and reranked scores agree
-    with the full scan to BLAS shape-dependent rounding of the same
-    formula: bit-identical whenever the dot products are exactly
-    representable, within an ulp otherwise.
+    rerank scores survivors of *all* queries of the block in one pass over
+    the union of surviving rows, running the exact :func:`similarity_matrix`
+    formula — so the selected neighbours match the pure-float path (the
+    bounds carry 1e-9 relative slack, dwarfing rounding noise), and
+    reranked scores are bit-identical to the full scan.
     """
     queries_fast = queries_block[fast]
     days_fast = days_block[fast]
@@ -584,15 +553,9 @@ def _extract_fast_prefiltered(
             keep[perm[keep_perm]] = True
         survivors.append(np.flatnonzero(keep))
     union = np.unique(np.concatenate(survivors))
-    sub_data = _ShardData(
-        data.key,
-        matrix=data.matrix[union],
-        days=data.days[union],
-        sq_norms=data.sq_norms[union],
-        seqs=data.seqs[union],
-        codes=data.codes[union],
+    rerank = similarity_matrix(
+        queries_fast, days_fast, data.matrix[union], data.days[union], alpha
     )
-    rerank = _score_block(sub_data, queries_fast, days_fast, alpha)
     for offset, position in enumerate(fast):
         rows = survivors[offset]
         scores_row = rerank[offset][np.searchsorted(union, rows)]
@@ -643,8 +606,8 @@ def _extract_block(
             fast.append(position)
     if prefilter and not batch_filtered and data.total > pool_size:
         if slow:
-            scores = _score_block(
-                data, queries_block[slow], days_block[slow], alpha
+            scores = similarity_matrix(
+                queries_block[slow], days_block[slow], data.matrix, data.days, alpha
             )
             for offset, position in enumerate(slow):
                 payloads[position] = _extract_filtered_row(
@@ -657,7 +620,7 @@ def _extract_block(
                 pool_size, diverse, alpha, payloads,
             )
         return payloads
-    scores = _score_block(data, queries_block, days_block, alpha)
+    scores = similarity_matrix(queries_block, days_block, data.matrix, data.days, alpha)
     for position in slow:
         payloads[position] = _extract_filtered_row(
             data, scores[position], exclude_rows[position],
@@ -890,7 +853,7 @@ class ShardedVectorIndex:
         #: machine's core count, 1 forces the sequential path.  Results
         #: and stats are identical in every mode.
         self.max_workers = max_workers
-        #: "thread" (BLAS drops the GIL) or "process" (workers attach the
+        #: "thread" (numpy drops the GIL) or "process" (workers attach the
         #: shared-memory arena by name; tasks never carry vectors).
         self.scoring_backend = scoring_backend
         #: Scan the int8 copy first and rerank survivors in float64;
@@ -1299,7 +1262,7 @@ class ShardedVectorIndex:
         The batch is processed in *waves*: every query nominates the next
         shard it cannot skip (nearest-in-time first, after exact filters and
         the score-bound pruning test), nominations are grouped so each shard
-        is scored once per wave with one matrix–matrix product over its
+        is scored once per wave in one vectorised pass over its
         nominating sub-batch, and candidate pools absorb the results.  Waves
         repeat until every query has either scanned or pruned every shard.
         Results are identical to the flat index's full scan.
@@ -1416,7 +1379,7 @@ class ShardedVectorIndex:
         # nominates exactly one shard per wave and prune decisions were
         # taken against the pool state as of wave start — so scoring and
         # candidate extraction fan out to workers (threads: numpy releases
-        # the GIL inside the BLAS product; processes: workers attach the
+        # the GIL inside its scoring loops; processes: workers attach the
         # shared arena and ship back only candidate payloads) while every
         # state mutation is folded on this thread in sorted-key order,
         # exactly like the sequential path.  Parity is structural: all

@@ -4,7 +4,7 @@ The sharded index's scaling story (ROADMAP: "zero-copy retrieval memory")
 needs two things the ``.npz``-per-shard layout cannot give:
 
 * **Process-pool scoring without copies.**  Thread pools only help where
-  BLAS drops the GIL; a process pool helps everywhere — but naively each
+  numpy drops the GIL; a process pool helps everywhere — but naively each
   worker would re-pickle every shard matrix per task.  Here the parent lays
   every shard's scoring payload (float64 matrix, creation days, cached
   squared norms, insertion sequences, category codes, plus the int8

@@ -64,6 +64,50 @@ def similarity(
     return (1.0 / (1.0 + distance)) * temporal_decay(days_a, days_b, alpha)
 
 
+def similarity_matrix(
+    queries: np.ndarray,
+    query_days: np.ndarray,
+    matrix: np.ndarray,
+    days: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """:func:`similarity` of every query against every stored row, ``(Q, N)``.
+
+    Each score depends on its own query and row only.  Squared distances
+    come from the expansion ``|q|^2 + |m|^2 - 2 q.m``, where every dot
+    product and norm is one ``einsum`` reduction over the embedding
+    dimension.  So a query scores bit-identically whatever queries share its
+    batch and however many rows (or which shard of them) it is scored
+    against.  A BLAS matrix product lacks that property: it rounds the dot
+    products differently for different block shapes, which flips exact
+    score ties.
+
+    Args:
+        queries: ``(Q, dim)`` query embeddings.
+        query_days: ``(Q,)`` query creation days.
+        matrix: ``(N, dim)`` stored embeddings.
+        days: ``(N,)`` stored creation days.
+        alpha: Temporal decay coefficient.
+    """
+    # C order keeps the embedding dimension innermost, so every reduction
+    # runs over one contiguous pair of rows whatever the array shapes.
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    distances = np.einsum("qd,nd->qn", queries, matrix)
+    distances *= -2.0
+    distances += np.einsum("qd,qd->q", queries, queries)[:, None]
+    distances += np.einsum("nd,nd->n", matrix, matrix)[None, :]
+    np.maximum(distances, 0.0, out=distances)  # guard fp cancellation
+    np.sqrt(distances, out=distances)
+    distances += 1.0  # 1 + distance
+    decay = days[None, :] - query_days[:, None]
+    np.abs(decay, out=decay)
+    decay *= -alpha
+    np.exp(decay, out=decay)
+    decay /= distances
+    return decay
+
+
 @dataclass(frozen=True)
 class SimilarityConfig:
     """Configuration of the neighbour search used by the prediction stage."""

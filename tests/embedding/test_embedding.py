@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.datagen import generate_corpus
 from repro.embedding import (
     FastTextClassifier,
     FastTextClassifierConfig,
@@ -20,6 +27,7 @@ from repro.embedding import (
     tokenize,
     unique_preserving_order,
 )
+from repro.embedding.fasttext import _scatter_add
 
 
 class TestTextUtilities:
@@ -147,9 +155,107 @@ class TestFastTextEmbedder:
 
     def test_deterministic_given_seed(self):
         config = FastTextConfig(dim=16, epochs=1, seed=5, buckets=500)
-        a = FastTextEmbedder(config).fit(CORPUS).embed(CORPUS[0])
-        b = FastTextEmbedder(config).fit(CORPUS).embed(CORPUS[0])
-        assert np.allclose(a, b)
+        a = FastTextEmbedder(config).fit(CORPUS).embed_many(CORPUS)
+        b = FastTextEmbedder(config).fit(CORPUS).embed_many(CORPUS)
+        assert np.array_equal(a, b)
+
+    def test_deterministic_across_processes(self):
+        """Two interpreters with different hash seeds train identical vectors."""
+        script = (
+            "import hashlib, json, sys\n"
+            "from repro.embedding import FastTextConfig, FastTextEmbedder\n"
+            "corpus = json.loads(sys.argv[1])\n"
+            "embedder = FastTextEmbedder(FastTextConfig(dim=16, seed=5, buckets=500)).fit(corpus)\n"
+            "print(hashlib.sha256(embedder.embed_many(corpus).tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(CORPUS)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize(
+        "documents",
+        [
+            pytest.param([], id="empty-corpus"),
+            pytest.param(["error 11001 at 42", "7 8 9", ""], id="numbers-and-empty-docs"),
+            pytest.param(["alpha beta gamma", "delta epsilon"], id="all-oov-contexts"),
+            pytest.param(["socket", "socket", "disk", "disk"], id="single-token-docs"),
+        ],
+    )
+    def test_degenerate_corpora_still_train(self, documents):
+        embedder = FastTextEmbedder(FastTextConfig(dim=8, buckets=100)).fit(documents)
+        assert embedder.trained_pairs == 0
+        vector = embedder.embed("socket alpha")
+        assert vector.shape == (8,)
+        assert np.isfinite(vector).all()
+
+    def test_trains_every_context_pair_each_epoch(self):
+        config = FastTextConfig(dim=8, epochs=3, buckets=200, window=2)
+        embedder = FastTextEmbedder(config).fit(CORPUS)
+        expected = 0
+        for document in CORPUS:
+            tokens = tokenize(document)
+            for position in range(len(tokens)):
+                lo, hi = max(0, position - 2), min(len(tokens), position + 3)
+                expected += sum(
+                    tokens[other] in embedder.vocab
+                    for other in range(lo, hi)
+                    if other != position
+                )
+        assert expected > 0
+        assert embedder.trained_pairs == config.epochs * expected
+
+    def test_max_pairs_per_epoch_cap_is_honoured(self):
+        config = FastTextConfig(dim=8, epochs=2, buckets=200, max_pairs_per_epoch=20)
+        embedder = FastTextEmbedder(config).fit(CORPUS)
+        assert 0 < embedder.trained_pairs <= config.epochs * config.max_pairs_per_epoch
+        assert np.isfinite(embedder.embed_many(CORPUS)).all()
+
+
+def test_scatter_add_matches_numpy_add_at():
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 7, size=(40, 3))  # many repeated rows
+    values = rng.standard_normal((40, 3, 5))
+    expected = rng.standard_normal((7, 5))
+    actual = expected.copy()
+    np.add.at(expected, rows, values)
+    _scatter_add(actual, rows, values)
+    assert np.array_equal(actual, expected)
+
+
+class TestFastTextQuality:
+    def test_same_category_incidents_are_nearer(self):
+        """Guard on retrieval quality of the trained embedding space.
+
+        Over every (anchor, same-category, other-category) triple of a seeded
+        datagen corpus, the same-category incident must be the nearer one at
+        least as often as with the per-pair SGD trainer this minibatch trainer
+        replaced: 0.9801 with the default config on this corpus (the
+        minibatch trainer measures 0.9812).
+        """
+        store = generate_corpus(
+            total_incidents=120, total_categories=30, seed=7, duration_days=120.0
+        )
+        incidents = [incident for incident in store if incident.category is not None]
+        texts = [incident.diagnostic_info() or incident.alert_info() for incident in incidents]
+        categories = np.array([incident.category for incident in incidents])
+        vectors = FastTextEmbedder(FastTextConfig()).fit(texts).embed_many(texts)
+        distances = np.sqrt(((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(-1))
+        wins = total = 0
+        for anchor in range(len(texts)):
+            same = categories == categories[anchor]
+            same[anchor] = False
+            other = categories != categories[anchor]
+            near, far = distances[anchor, same], distances[anchor, other]
+            wins += int((near[:, None] < far[None, :]).sum())
+            total += near.size * far.size
+        assert wins / total >= 0.9801
 
 
 class TestFastTextClassifier:

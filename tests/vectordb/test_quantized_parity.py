@@ -78,7 +78,7 @@ class TestQuantizedExactness:
                 # product, squared norm and distance argument is exactly
                 # representable, so the rerank must reproduce the pure
                 # float path to the last bit — including through the
-                # subset GEMM the prefilter uses for survivors.
+                # subset rerank the prefilter uses for survivors.
                 st.lists(st.integers(-8, 8), min_size=3, max_size=3),
                 st.integers(0, 30).map(float),
                 st.sampled_from(["A", "B", "C"]),
