@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from bench_utils import read_results, write_results
+from bench_utils import write_results
 from repro.vectordb import FlatVectorIndex, ShardedVectorIndex, SimilarityConfig
 
 #: Full scale (the acceptance target): weekly shards over one year.
@@ -152,10 +152,8 @@ def test_sharded_retrieval_speedup(quick_mode):
         f"{int(parallel.stats()['max_workers'])} workers)"
     )
 
-    # Merge-write: the --process profile lands in the same artifact, so
-    # preserve whichever profile ran first instead of clobbering it.
-    merged = read_results("BENCH_retrieval.json")
-    merged.update(
+    path = write_results(
+        "BENCH_retrieval.json",
         {
             "benchmark": "retrieval_sharded",
             "config": {
@@ -191,9 +189,8 @@ def test_sharded_retrieval_speedup(quick_mode):
                 "scanned_shard_ratio": stats["scanned_shard_ratio"],
                 "shards_pruned": stats["shards_pruned"],
             },
-        }
+        },
     )
-    path = write_results("BENCH_retrieval.json", merged)
     print(f"machine-readable results: {path}")
 
     expected_shards = DURATION_DAYS / window_days
@@ -221,153 +218,3 @@ def test_sharded_retrieval_speedup(quick_mode):
             f"parallel shard scoring regressed badly on {cores} cores: "
             f"{parallel_speedup:.2f}x"
         )
-
-
-def test_process_scoring_and_memory_gate(quick_mode, process_profile):
-    """``--process`` profile: shared-memory scoring parity, speedup and RSS.
-
-    Workers attach the index arena by name and receive only (shard key,
-    query block, pool bound) per task — never vectors — so each worker's
-    *private* memory growth must stay a small fraction of the index size
-    no matter how large the history gets.  The gate: per-worker
-    incremental anonymous RSS <= 10% of the arena bytes at the full 100k
-    scale (a looser absolute-floored bound at smoke scale, where the
-    arena is small enough for allocator noise to dominate).
-    """
-    import pytest
-
-    if not process_profile:
-        pytest.skip("process-scoring profile runs with --process")
-    total = QUICK_HISTORY if quick_mode else FULL_HISTORY
-    window_days = QUICK_WINDOW_DAYS if quick_mode else FULL_WINDOW_DAYS
-    cores = os.cpu_count() or 1
-    ids, vectors, created_days, categories = _build_entries(total)
-    similarity = SimilarityConfig(alpha=0.3, k=5, diverse_categories=True)
-    sequential = ShardedVectorIndex(similarity, window_days=window_days, max_workers=1)
-    # Auto-sizing collapses to the sequential path on a single core, which
-    # would silently skip the arena + worker plumbing this profile gates —
-    # force a real (oversubscribed) pool there so the memory gate and the
-    # shared-memory transport are exercised everywhere.
-    process = ShardedVectorIndex(
-        similarity,
-        window_days=window_days,
-        max_workers=None if cores > 1 else 2,
-        scoring_backend="process",
-    )
-    prefiltered = ShardedVectorIndex(
-        similarity,
-        window_days=window_days,
-        max_workers=1,
-        quantized_prefilter=True,
-    )
-    for index in (sequential, process, prefiltered):
-        index.add_many(ids, vectors, created_days, categories)
-
-    live_queries, live_days = _query_batch(7, QUERY_DAY_RANGE)
-    replay_queries, replay_days = _query_batch(11, REPLAY_DAY_RANGE)
-
-    try:
-        # Parity: transport and prefilter are performance choices only.
-        reference_live = sequential.search_many(live_queries, live_days)
-        reference_replay = sequential.search_many(replay_queries, replay_days)
-        _assert_parity(
-            reference_live, process.search_many(live_queries, live_days), "proc/live"
-        )
-        _assert_parity(
-            reference_replay,
-            process.search_many(replay_queries, replay_days),
-            "proc/replay",
-        )
-        _assert_parity(
-            reference_live,
-            prefiltered.search_many(live_queries, live_days),
-            "int8/live",
-        )
-
-        sequential_replay = _timed_search(sequential, replay_queries, replay_days)
-        process_replay = _timed_search(process, replay_queries, replay_days)
-        sequential_live = _timed_search(sequential, live_queries, live_days)
-        prefiltered_live = _timed_search(prefiltered, live_queries, live_days)
-        process_speedup = sequential_replay / process_replay
-        prefilter_speedup = sequential_live / prefiltered_live
-
-        arena_bytes = process.arena_bytes()
-        assert arena_bytes > 0, "process backend must have a live arena"
-        workers = int(process.stats()["max_workers"])
-        rss_samples_kb = process.worker_rss_samples(probes=2 * workers)
-        max_rss_bytes = max(rss_samples_kb) * 1024 if rss_samples_kb else 0
-        rss_ratio = max_rss_bytes / arena_bytes
-
-        print()
-        print(
-            f"process scoring: replay {sequential_replay * 1e3:.1f} -> "
-            f"{process_replay * 1e3:.1f} ms ({process_speedup:.2f}x on "
-            f"{cores} cores, {workers} workers)"
-        )
-        print(
-            f"arena {arena_bytes / 1e6:.1f} MB, worker incremental RSS "
-            f"{max_rss_bytes / 1e6:.1f} MB ({rss_ratio:.1%} of index)"
-        )
-        print(
-            f"int8 prefilter: live {sequential_live * 1e3:.1f} -> "
-            f"{prefiltered_live * 1e3:.1f} ms ({prefilter_speedup:.2f}x)"
-        )
-
-        merged = read_results("BENCH_retrieval.json")
-        merged["process"] = {
-            "entries": total,
-            "cores": cores,
-            "workers": workers,
-            "quick_mode": bool(quick_mode),
-            "wall_seconds": {
-                "sequential_replay": sequential_replay,
-                "process_replay": process_replay,
-            },
-            "speedup_replay": process_speedup,
-            "arena_bytes": arena_bytes,
-            "max_worker_rss_bytes": max_rss_bytes,
-            "worker_rss_ratio": rss_ratio,
-        }
-        merged["quantized_prefilter"] = {
-            "entries": total,
-            "wall_seconds": {
-                "sequential_live": sequential_live,
-                "prefiltered_live": prefiltered_live,
-            },
-            "speedup_live": prefilter_speedup,
-        }
-        path = write_results("BENCH_retrieval.json", merged)
-        print(f"machine-readable results: {path}")
-
-        # Memory gate: zero-copy must hold at scale; allocator noise gets an
-        # absolute floor at smoke scale where 10% of the arena is ~3 MB.
-        if quick_mode:
-            budget = max(0.10 * arena_bytes, 32 * 1024 * 1024)
-        else:
-            budget = 0.10 * arena_bytes
-        if rss_samples_kb:  # Linux only; probes return nothing elsewhere
-            assert max_rss_bytes <= budget, (
-                f"per-worker incremental RSS {max_rss_bytes / 1e6:.1f} MB "
-                f"exceeds {budget / 1e6:.1f} MB "
-                f"({100 * budget / arena_bytes:.0f}% of the "
-                f"{arena_bytes / 1e6:.1f} MB arena)"
-            )
-
-        if cores >= 4 and not quick_mode:
-            assert process_speedup >= 1.5, (
-                f"process scoring must be >= 1.5x sequential on {cores} "
-                f"cores at {total} entries, got {process_speedup:.2f}x"
-            )
-        else:
-            # Too few cores for a speedup target: the IPC round trips must
-            # still not wreck latency.
-            assert process_speedup >= 0.25, (
-                f"process scoring regressed badly on {cores} cores: "
-                f"{process_speedup:.2f}x"
-            )
-        assert prefilter_speedup >= 0.5, (
-            f"int8 prefilter must not wreck live latency, got "
-            f"{prefilter_speedup:.2f}x"
-        )
-    finally:
-        process.close()

@@ -54,16 +54,6 @@ def pytest_addoption(parser):
         ),
     )
     parser.addoption(
-        "--process",
-        action="store_true",
-        default=False,
-        help=(
-            "run the shared-memory process-scoring retrieval profile "
-            "(bench_retrieval_sharded.py): parity, speedup and the "
-            "per-worker incremental-RSS memory gate"
-        ),
-    )
-    parser.addoption(
         "--replay",
         action="store_true",
         default=False,
@@ -118,12 +108,6 @@ def collect_bound_soak(request):
 def pipeline_soak(request):
     """True when the pipelined-ingest profile should run at soak scale."""
     return bool(request.config.getoption("--pipeline", default=False))
-
-
-@pytest.fixture(scope="session")
-def process_profile(request):
-    """True when the process-scoring retrieval profile should run."""
-    return bool(request.config.getoption("--process", default=False))
 
 
 @pytest.fixture(scope="session")

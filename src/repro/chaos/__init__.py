@@ -27,7 +27,7 @@ Telemetry: injections count into ``rcacopilot.faults.*``
 """
 
 from .injector import NO_FAULTS, FaultConfig, FaultEvent, FaultInjector
-from .recovery import load_index_resilient, load_legacy_shards
+from .recovery import load_index_resilient
 from .resilient import (
     DEGRADED_PREDICTION_TEXT,
     DEGRADED_SUMMARY_TEXT,
@@ -44,7 +44,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "load_index_resilient",
-    "load_legacy_shards",
     "DEGRADED_PREDICTION_TEXT",
     "DEGRADED_SUMMARY_TEXT",
     "CircuitBreaker",

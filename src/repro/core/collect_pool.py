@@ -398,8 +398,8 @@ class CollectionPool:
         Read without a lock (each value is a single attribute read): a
         reader racing a wave may see one gauge a step ahead of another,
         exactly like the ingestor's autoscale gauges.  Used by the tenant
-        router's service rollup, where the shared pool is the
-        ``CollectService`` every tenant's collection fans into.
+        router's service rollup, where the shared pool is the one every
+        tenant's collection fans into.
         """
         return {
             "pool_size": float(self.pool_size),

@@ -488,8 +488,6 @@ class PredictionStage:
             window_days=window_days,
             max_workers=self.index_config.max_workers,
             compaction=self.index_config.compaction,
-            scoring_backend=self.index_config.scoring_backend,
-            quantized_prefilter=self.index_config.quantized_prefilter,
         )
         self._summaries = {}
         summaries = [self._summary_for(incident) for incident in labelled]

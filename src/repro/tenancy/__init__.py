@@ -1,12 +1,11 @@
-"""Multi-tenant service decomposition and fair-share routing.
+"""Multi-tenant fair-share routing.
 
-The pipeline decomposes into three in-process services behind explicit
-protocol seams (:mod:`~repro.tenancy.services`): the ingestion front, the
-collection substrate, and the retrieval layer.  :class:`TenantRouter`
-composes them into a multi-tenant deployment — per-tenant index
-namespaces, quotas with tenant-scoped load shed, and deficit-round-robin
-fair-share micro-batching with cross-tenant LLM deduplication.  See
-:mod:`repro.tenancy.router` for the full design notes.
+:class:`TenantRouter` composes the pipeline's ingestion front, its shared
+collection pool and one retrieval index per tenant into a multi-tenant
+deployment — per-tenant index namespaces, quotas with tenant-scoped load
+shed, and deficit-round-robin fair-share micro-batching with cross-tenant
+LLM deduplication.  See :mod:`repro.tenancy.router` for the full design
+notes.
 """
 
 from .router import (
@@ -16,7 +15,6 @@ from .router import (
     TenantQuota,
     TenantRouter,
 )
-from .services import CollectService, IngestService, RetrievalService
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -24,7 +22,4 @@ __all__ = [
     "TenantQueueFull",
     "TenantQuota",
     "TenantRouter",
-    "CollectService",
-    "IngestService",
-    "RetrievalService",
 ]

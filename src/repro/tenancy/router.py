@@ -1,14 +1,14 @@
-"""Multi-tenant routing over the decomposed pipeline services.
+"""Multi-tenant routing over the pipeline's ingestion, collection and retrieval.
 
 One RCACopilot deployment typically serves several teams ("tenants") whose
 alert streams differ wildly in volume and whose retrieval histories must
 not bleed into each other.  :class:`TenantRouter` is the multi-tenant
-ingestion front: one shared :class:`~repro.tenancy.services.CollectService`
-(the collection pool — handler execution has no per-tenant state beyond
-the incident id), one retrieval namespace per tenant (each tenant's own
-index over its own history, aggregated through a
-:class:`~repro.vectordb.NamespacedIndexMap`), and a single
-:class:`~repro.tenancy.services.IngestService` face that routes between
+ingestion front: one shared
+:class:`~repro.core.collect_pool.CollectionPool` (handler execution has
+no per-tenant state beyond the incident id), one retrieval namespace per
+tenant (each tenant's own index over its own history, aggregated through
+a :class:`~repro.vectordb.NamespacedIndexMap`), and a single
+:class:`~repro.core.streaming.StreamIngestor` face that routes between
 them.
 
 Three properties define the router:
@@ -311,7 +311,7 @@ class _TenantState:
 
 
 class TenantRouter(StreamIngestor):
-    """Fair-share multi-tenant front over the decomposed pipeline services.
+    """Fair-share multi-tenant front over the shared pipeline stages.
 
     Subclasses :class:`~repro.core.streaming.StreamIngestor`, inheriting
     the worker loop, flush window, pipelined execution, autoscaling, and

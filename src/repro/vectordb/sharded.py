@@ -27,32 +27,13 @@ breaks, which use the global insertion sequence exactly like the flat scan.
 With ``alpha == 0`` the bound is 1.0 and nothing is ever pruned (correct:
 without decay every era of the history matters equally).
 
-Eligible shards within one scan *wave* can be scored concurrently
-(``max_workers``).  Two scoring backends share one extraction code path:
-
-* ``scoring_backend="thread"`` — numpy releases the GIL inside its
-  vectorised scoring loops, so per-shard scoring runs on a thread pool;
-* ``scoring_backend="process"`` — shard payloads live in one shared-memory
-  arena (:mod:`~repro.vectordb.shardmem`); workers attach by name and a
-  task ships only (shard key, query block, wave-start pool floors), never
-  vectors, so scoring sidesteps the GIL entirely with per-worker memory
-  bounded by scoring temporaries instead of index size.
-
-Either way every pool/state mutation stays on the calling thread, folded
-in the same deterministic order as the sequential path.  Prune decisions
-are taken against the pool state as of wave start in all modes, so
+Eligible shards within one scan *wave* can be scored concurrently on a
+thread pool (``max_workers``): numpy releases the GIL inside its
+vectorised scoring loops.  Every pool/state mutation stays on the calling
+thread, folded in the same deterministic order as the sequential path.
+Prune decisions are taken against the pool state as of wave start, so
 parallel and sequential scans visit the *same* shard set and return
 identical neighbours and identical :meth:`ShardedVectorIndex.stats`.
-
-``quantized_prefilter=True`` inserts an int8 scan-then-exact-rerank stage
-below the shard-level pruning: each scanned shard is first scored against
-its int8-quantized copy with a conservative error bound, rows whose score
-*upper bound* clears the wave-start pool floor (and the per-category
-retention rules) survive, and only the survivors are re-scored in float64.
-Dropped rows provably cannot enter the candidate pool or the per-category
-argmaxes, so the *selected neighbours* — including tie breaks — match the
-pure-float path, and reported scores are bit-identical to it (scoring is
-shape-invariant, see :func:`~repro.vectordb.similarity.similarity_matrix`).
 
 Shards self-compact: :meth:`ShardedVectorIndex.compact` merges adjacent
 cold shards below a size floor and splits hot shards above a ceiling
@@ -62,11 +43,10 @@ single pass may rewrite, spreading the work across insert waves.
 Compaction re-keys shards but never reorders entries against the global
 insertion sequence, so search results are unchanged.
 
-Persistence is manifest v3 by default: every shard's scoring payload lives
-in one aligned ``arena.bin`` that :meth:`ShardedVectorIndex.load` maps
-with ``np.memmap`` semantics — a shard's vector pages fault in only when a
-query actually scans it.  ``save(path, version=2)`` still writes the
-legacy one-``.npz``-per-shard layout.
+Persistence is manifest v3: every shard's scoring payload lives in one
+aligned ``arena.bin`` (:mod:`~repro.vectordb.shardmem`) that
+:meth:`ShardedVectorIndex.load` maps with ``np.memmap`` semantics — a
+shard's vector pages fault in only when a query actually scans it.
 """
 
 from __future__ import annotations
@@ -74,28 +54,23 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.errors import IndexCorruptionError
-from . import shardmem
 from .index import SHARDED_MANIFEST
 from .knn import Neighbor, select_complete_order
-from .shardmem import ArenaSpec, BlockSpec, ShardArena, quantize_rows
+from .shardmem import ArenaSpec, BlockSpec, ShardArena
 from .similarity import SimilarityConfig, similarity_matrix
 from .store import VectorEntry, VectorStore
 
 #: Default shard width in days.
 DEFAULT_WINDOW_DAYS = 30.0
-
-#: Scoring backends a scan wave may fan out on.
-SCORING_BACKENDS = ("thread", "process")
 
 #: Name of the file-backed arena inside a manifest-v3 index directory.
 ARENA_FILENAME = "arena.bin"
@@ -164,17 +139,14 @@ class CompactionPolicy:
 class _ShardData:
     """One shard's immutable scoring payload: plain arrays, no index state.
 
-    The hand-off unit between the index and the (thread or process)
-    extraction workers: everything scoring needs, whether the arrays are
-    views into a live :class:`~repro.vectordb.store.VectorStore` buffer
-    (in-process path) or into a mapped shared-memory arena (process
-    workers, mmap'd v3 loads).  The int8 quantized copy is carried along
-    when the arena provides it and computed lazily otherwise.
+    The hand-off unit between the index and the extraction workers:
+    everything scoring needs, as views into the shard's
+    :class:`~repro.vectordb.store.VectorStore` buffers (which, after a v3
+    load, are themselves views into the mapped arena file).
     """
 
     __slots__ = (
-        "key", "total", "matrix", "days", "sq_norms", "seqs", "codes",
-        "_q8", "_qscale", "_ql1", "_groups",
+        "key", "total", "matrix", "days", "sq_norms", "seqs", "codes", "_groups",
     )
 
     def __init__(
@@ -185,9 +157,6 @@ class _ShardData:
         sq_norms: np.ndarray,
         seqs: np.ndarray,
         codes: np.ndarray,
-        q8: Optional[np.ndarray] = None,
-        qscale: Optional[np.ndarray] = None,
-        ql1: Optional[np.ndarray] = None,
     ) -> None:
         self.key = key
         self.total = matrix.shape[0]
@@ -196,31 +165,7 @@ class _ShardData:
         self.sq_norms = sq_norms
         self.seqs = seqs
         self.codes = codes
-        self._q8 = q8
-        self._qscale = qscale
-        self._ql1 = ql1
         self._groups: Optional[Tuple[np.ndarray, ...]] = None
-
-    @classmethod
-    def from_views(cls, key: int, views: Dict[str, np.ndarray]) -> "_ShardData":
-        """Wrap one arena block's field views (worker / mmap side)."""
-        return cls(
-            key,
-            matrix=views["matrix"],
-            days=views["days"],
-            sq_norms=views["sq_norms"],
-            seqs=views["seqs"],
-            codes=views["codes"],
-            q8=views["q8"],
-            qscale=views["qscale"],
-            ql1=views["ql1"],
-        )
-
-    def quant(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The int8 copy ``(q8, scales, ql1)``, computed lazily if absent."""
-        if self._q8 is None:
-            self._q8, self._qscale, self._ql1 = quantize_rows(self.matrix)
-        return self._q8, self._qscale, self._ql1
 
     def groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Category grouping of the shard's rows, cached between queries.
@@ -246,74 +191,13 @@ class _ShardData:
         return self._groups
 
 
-#: Safety factors of the quantized score bounds.  The f32 dot term covers
-#: cast + accumulation rounding of a ``(dim+4)``-op dot over values
-#: bounded by 127, in any summation order; the subnormal term covers query elements that underflow
-#: the normalized f32 cast; the relative slack on the assembled bound
-#: dwarfs every remaining f64 rounding step by ~7 orders of magnitude.
-_QUANT_GEMM_EPS = 2e-7
-_QUANT_SUBNORMAL = 1e-43
-_QUANT_REL_SLACK = 1e-9
-_QUANT_SQ_GUARD = 1e-12
-
-
-def _quant_bounds(
-    data: _ShardData, queries: np.ndarray, days: np.ndarray, alpha: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Conservative ``(lower, upper)`` score bounds from the int8 copy.
-
-    The dot products are approximated on the quantized matrix in float32
-    (the cheap scan the prefilter pays instead of the exact float64 pass,
-    an ``einsum`` like the exact scoring it screens for); the error budget
-    covers quantization (``QUANT_HALF_STEP`` per element), the f32
-    cast/accumulation, and the f64 assembly of the bound itself.
-    Queries are max-normalized before the f32 cast so adversarially tiny
-    or huge query scales cannot underflow the cast.  The guarantee used by
-    the prefilter: for every (query, row), ``lower <= s <= upper`` where
-    ``s`` is the exact score :func:`similarity_matrix` would compute.
-    """
-    q8, qscale, _ = data.quant()
-    qmax = np.abs(queries).max(axis=1) if queries.shape[1] else np.zeros(queries.shape[0])
-    safe_qmax = np.where(qmax > 0.0, qmax, 1.0)
-    normalized = (queries / safe_qmax[:, None]).astype(np.float32)
-    approx = np.einsum("qd,nd->qn", normalized, q8.astype(np.float32)).astype(np.float64)
-    approx *= safe_qmax[:, None]
-    approx *= qscale[None, :]
-    q_l1 = np.abs(queries).sum(axis=1)
-    dim = queries.shape[1]
-    gemm_margin = shardmem.QUANT_HALF_STEP + 127.0 * (dim + 4) * _QUANT_GEMM_EPS
-    err = (
-        q_l1[:, None] * gemm_margin + qmax[:, None] * (127.0 * dim * _QUANT_SUBNORMAL)
-    ) * qscale[None, :]
-    q_sq = np.einsum("ij,ij->i", queries, queries)
-    base = q_sq[:, None] + data.sq_norms[None, :]
-    guard = _QUANT_SQ_GUARD * base
-    sq_lo = base - 2.0 * (approx + err) - guard
-    np.maximum(sq_lo, 0.0, out=sq_lo)
-    sq_hi = base - 2.0 * (approx - err) + guard
-    np.maximum(sq_hi, 0.0, out=sq_hi)
-    np.sqrt(sq_lo, out=sq_lo)
-    np.sqrt(sq_hi, out=sq_hi)
-    sq_lo += 1.0
-    sq_hi += 1.0
-    decay = data.days[None, :] - days[:, None]
-    np.abs(decay, out=decay)
-    decay *= -alpha
-    np.exp(decay, out=decay)
-    upper = decay / sq_lo
-    upper *= 1.0 + _QUANT_REL_SLACK
-    lower = decay / sq_hi
-    lower *= 1.0 - _QUANT_REL_SLACK
-    return lower, upper
-
-
 class _Candidates:
     """One query's extracted candidates from one scored shard.
 
     The immutable hand-off between the (parallelisable) extraction phase
     and the (serial) fold phase of a scan wave: everything a worker computed
     from the shard's score row, with no references into mutable query
-    state.  Plain slotted arrays, so the process backend pickles it cheaply.
+    state.
     ``rows`` index the shard's store; ``best_*`` carry the per-category
     argmax payload (None when diversity is off or no row survived the
     filters).
@@ -343,13 +227,6 @@ class _Candidates:
         self.best_scores = best_scores
         self.best_seqs = best_seqs
         self.best_rows = best_rows
-
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
 
 
 def _select_candidates(
@@ -506,70 +383,6 @@ def _extract_fast(
             )
 
 
-def _extract_fast_prefiltered(
-    data: _ShardData,
-    queries_block: np.ndarray,
-    days_block: np.ndarray,
-    fast: List[int],
-    floors: np.ndarray,
-    pool_size: int,
-    diverse: bool,
-    alpha: float,
-    payloads: List[Optional[_Candidates]],
-) -> None:
-    """int8 scan-then-exact-rerank extraction for the unfiltered queries.
-
-    Exactness argument, per query: a dropped row's true score lies below
-    its quantized upper bound, which lies below both (a) the wave-start
-    pool floor — with a full pool every retained entry strictly outranks
-    it, and the floor only rises — and (b) the ``pool_size``-th largest
-    quantized *lower* bound, i.e. below the true score of at least
-    ``pool_size`` other rows of this shard, so the merged pool provably
-    never contains it.  With diversity on, every row whose upper bound
-    reaches its category group's best lower bound is additionally kept, so
-    each group's true argmax (and its exact ties) always survives and the
-    folded per-category bests are identical to the pure-float path.  The
-    rerank scores survivors of *all* queries of the block in one pass over
-    the union of surviving rows, running the exact :func:`similarity_matrix`
-    formula — so the selected neighbours match the pure-float path (the
-    bounds carry 1e-9 relative slack, dwarfing rounding noise), and
-    reranked scores are bit-identical to the full scan.
-    """
-    queries_fast = queries_block[fast]
-    days_fast = days_block[fast]
-    lower, upper = _quant_bounds(data, queries_fast, days_fast, alpha)
-    total = data.total
-    if diverse:
-        perm, starts, sizes, _ = data.groups()
-    survivors: List[np.ndarray] = []
-    for offset, position in enumerate(fast):
-        ub_row = upper[offset]
-        lb_row = lower[offset]
-        kth = np.partition(lb_row, total - pool_size)[total - pool_size]
-        keep = ub_row >= max(float(floors[position]), float(kth))
-        if diverse:
-            group_lb_max = np.maximum.reduceat(lb_row[perm], starts)
-            keep_perm = ub_row[perm] >= np.repeat(group_lb_max, sizes)
-            keep[perm[keep_perm]] = True
-        survivors.append(np.flatnonzero(keep))
-    union = np.unique(np.concatenate(survivors))
-    rerank = similarity_matrix(
-        queries_fast, days_fast, data.matrix[union], data.days[union], alpha
-    )
-    for offset, position in enumerate(fast):
-        rows = survivors[offset]
-        scores_row = rerank[offset][np.searchsorted(union, rows)]
-        payloads[position] = _select_candidates(
-            total,
-            scores_row,
-            data.seqs[rows],
-            rows,
-            data.codes[rows] if diverse else None,
-            pool_size,
-            diverse,
-        )
-
-
 def _extract_block(
     data: _ShardData,
     queries_block: np.ndarray,
@@ -577,19 +390,17 @@ def _extract_block(
     exclude_rows: List[Tuple[int, ...]],
     history_before_day: Optional[float],
     allowed_codes: Optional[Tuple[int, ...]],
-    floors: np.ndarray,
     pool_size: int,
     diverse: bool,
     alpha: float,
-    prefilter: bool,
 ) -> List[_Candidates]:
     """Score one shard and extract candidates for its nominating queries.
 
-    The single extraction code path every execution mode runs — inline,
-    thread worker or process worker — which is what makes parity across
-    backends structural rather than coincidental.  Read-only with respect
-    to query state; the returned payloads are folded serially by
-    ``_fold``.  The hot path (no look-ahead cut-off, no category filter,
+    The single extraction code path every execution mode runs — inline or
+    on a thread worker — which is what makes parity between sequential
+    and parallel scans structural rather than coincidental.  Read-only
+    with respect to query state; the returned payloads are folded
+    serially by ``_fold``.  The hot path (no look-ahead cut-off, no category filter,
     no excluded id stored in *this* shard) extracts candidates for the
     whole sub-batch at once; queries that do filter rows of this shard
     take the exact per-query path over full float scores.
@@ -604,22 +415,6 @@ def _extract_block(
             slow.append(position)
         else:
             fast.append(position)
-    if prefilter and not batch_filtered and data.total > pool_size:
-        if slow:
-            scores = similarity_matrix(
-                queries_block[slow], days_block[slow], data.matrix, data.days, alpha
-            )
-            for offset, position in enumerate(slow):
-                payloads[position] = _extract_filtered_row(
-                    data, scores[offset], exclude_rows[position],
-                    history_before_day, allowed_codes, pool_size, diverse,
-                )
-        if fast:
-            _extract_fast_prefiltered(
-                data, queries_block, days_block, fast, floors,
-                pool_size, diverse, alpha, payloads,
-            )
-        return payloads
     scores = similarity_matrix(queries_block, days_block, data.matrix, data.days, alpha)
     for position in slow:
         payloads[position] = _extract_filtered_row(
@@ -629,54 +424,6 @@ def _extract_block(
     if fast:
         _extract_fast(data, scores[fast], fast, pool_size, diverse, payloads)
     return payloads
-
-
-# --------------------------------------------------------- process workers
-#: Anonymous-RSS baseline of a scoring worker, recorded at fork time so
-#: probes report the *incremental* private cost of scoring work.
-_WORKER_BASE_RSS: Optional[int] = None
-
-
-def _init_score_worker() -> None:
-    global _WORKER_BASE_RSS
-    _WORKER_BASE_RSS = shardmem.rss_anon_kb()
-
-
-def _worker_rss_probe() -> Tuple[int, Optional[int]]:
-    """(pid, incremental anonymous RSS in kB) of one scoring worker."""
-    current = shardmem.rss_anon_kb()
-    if current is None or _WORKER_BASE_RSS is None:
-        return (os.getpid(), None)
-    return (os.getpid(), current - _WORKER_BASE_RSS)
-
-
-def _extract_in_worker(
-    spec: ArenaSpec,
-    key: int,
-    queries_block: np.ndarray,
-    days_block: np.ndarray,
-    exclude_rows: List[Tuple[int, ...]],
-    history_before_day: Optional[float],
-    allowed_codes: Optional[Tuple[int, ...]],
-    floors: np.ndarray,
-    pool_size: int,
-    diverse: bool,
-    alpha: float,
-    prefilter: bool,
-) -> List[_Candidates]:
-    """Process-pool task: attach the arena by name, score, extract.
-
-    The task payload is (shard key, query block, wave-start floors) plus
-    scalars — never vectors.  The arena attachment is cached per worker
-    process and ages out when the parent remaps (see
-    :func:`shardmem.attached_arena`).
-    """
-    arena = shardmem.attached_arena(spec)
-    data = _ShardData.from_views(key, arena.views(key))
-    return _extract_block(
-        data, queries_block, days_block, exclude_rows, history_before_day,
-        allowed_codes, floors, pool_size, diverse, alpha, prefilter,
-    )
 
 
 class _Shard:
@@ -836,29 +583,16 @@ class ShardedVectorIndex:
         window_days: float = DEFAULT_WINDOW_DAYS,
         max_workers: Optional[int] = None,
         compaction: Optional[CompactionPolicy] = None,
-        scoring_backend: str = "thread",
-        quantized_prefilter: bool = False,
     ) -> None:
         if window_days <= 0:
             raise ValueError("window_days must be positive")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive (or None for auto)")
-        if scoring_backend not in SCORING_BACKENDS:
-            raise ValueError(
-                f"unknown scoring backend: {scoring_backend!r} "
-                f"(expected one of {SCORING_BACKENDS})"
-            )
         self.window_days = float(window_days)
         #: Workers scoring a wave's shards concurrently; None picks the
         #: machine's core count, 1 forces the sequential path.  Results
         #: and stats are identical in every mode.
         self.max_workers = max_workers
-        #: "thread" (numpy drops the GIL) or "process" (workers attach the
-        #: shared-memory arena by name; tasks never carry vectors).
-        self.scoring_backend = scoring_backend
-        #: Scan the int8 copy first and rerank survivors in float64;
-        #: exact — see the module docstring.
-        self.quantized_prefilter = bool(quantized_prefilter)
         self.compaction = compaction or CompactionPolicy()
         self._similarity = similarity or SimilarityConfig()
         self._shards: Dict[int, _Shard] = {}
@@ -872,13 +606,10 @@ class ShardedVectorIndex:
         self._next_shard_key = 0
         self._inserts_since_compact = 0
         # lazily spawned scoring pool, reused across search_many calls
-        self._executor = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_workers = 0
-        # shared-memory arena for process scoring: rebuilt when the epoch
-        # (any mutation of stored rows/labels/layout) moves past it.
+        # the mapped arena file of a v3 load, kept for the index lifetime
         self._arena: Optional[ShardArena] = None
-        self._arena_epoch = -1
-        self._epoch = 0
         # scan statistics (cumulative over the index lifetime)
         self._queries = 0
         self._shards_considered = 0
@@ -905,115 +636,37 @@ class ShardedVectorIndex:
             return max(1, int(self.max_workers))
         return max(1, min(os.cpu_count() or 1, self.AUTO_WORKERS_CAP))
 
-    def _pool_for(self, workers: int):
+    def _pool_for(self, workers: int) -> ThreadPoolExecutor:
         """The shared scoring pool, (re)spawned lazily on first parallel wave.
 
         Cached on the index so a streaming deployment does not pay
         spawn/teardown on every micro-batch; a changed ``max_workers`` or a
-        :meth:`close` respawns it on next use.  The process backend pins
-        the ``fork`` start method: workers inherit the imported modules and
-        attach shard payloads through the shared arena, so neither code nor
-        vectors are re-shipped per task.
+        :meth:`close` respawns it on next use.
         """
         if self._executor is None or self._executor_workers != workers:
             if self._executor is not None:
                 self._executor.shutdown(wait=False, cancel_futures=True)
-            if self.scoring_backend == "process":
-                try:
-                    context = multiprocessing.get_context("fork")
-                except ValueError as error:  # pragma: no cover - non-POSIX
-                    raise RuntimeError(
-                        "scoring_backend='process' requires the fork start method"
-                    ) from error
-                self._executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=_init_score_worker,
-                )
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="shard-score"
-                )
+            self._executor = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="shard-score"
+            )
             self._executor_workers = workers
         return self._executor
 
-    def _ensure_arena(self) -> ShardArena:
-        """The current shared-memory arena, rebuilt when the index mutated.
-
-        The swap never invalidates readers mid-search: the stale segment is
-        unlinked *after* the fresh one exists, and POSIX keeps an unlinked
-        segment's memory alive until the last attached mapping closes —
-        workers age stale attachments out of a small keep-last cache.
-        """
-        if self._arena is not None and self._arena_epoch == self._epoch:
-            return self._arena
-        payloads = []
-        for key in sorted(self._shards):
-            data = self._shards[key].data()
-            q8, qscale, ql1 = data.quant()
-            payloads.append(
-                (key, {
-                    "matrix": data.matrix, "days": data.days,
-                    "sq_norms": data.sq_norms, "seqs": data.seqs,
-                    "codes": data.codes, "q8": q8, "qscale": qscale,
-                    "ql1": ql1,
-                })
-            )
-        fresh = ShardArena.build(payloads, kind="shm")
-        stale = self._arena
-        self._arena = fresh
-        self._arena_epoch = self._epoch
-        if stale is not None:
-            stale.destroy()
-        return fresh
-
-    def arena_bytes(self) -> int:
-        """Size of the live shared-memory arena in bytes (0 when none)."""
-        return 0 if self._arena is None else self._arena.nbytes
-
-    def worker_rss_samples(self, probes: int = 8) -> List[int]:
-        """Incremental anonymous RSS (kB) probes of live scoring workers.
-
-        Process backend only (empty list otherwise / off Linux): each probe
-        runs in whichever worker picks it up and reports that worker's
-        private RSS growth since fork — the "zero-copy" number the memory
-        gate checks, excluding shm/file-backed arena pages by construction.
-        """
-        if self.scoring_backend != "process" or self._executor is None:
-            return []
-        futures = [self._executor.submit(_worker_rss_probe) for _ in range(probes)]
-        samples = [future.result()[1] for future in futures]
-        return [sample for sample in samples if sample is not None]
-
     def close(self) -> None:
-        """Release the scoring pool and unlink the shared-memory arena.
-
-        Idempotent; both respawn lazily on next use.  Unlinking on close is
-        what keeps ``/dev/shm`` clean across index lifetimes — attached
-        worker mappings stay valid until their processes exit.  Exception
-        safe: a failing executor shutdown (e.g. a pool whose workers died)
-        never leaks the shared-memory arena — the references are dropped
-        first, so a second ``close()`` after an error is a no-op.
-        """
+        """Release the scoring pool.  Idempotent; it respawns on next use."""
         executor, self._executor = self._executor, None
-        arena, self._arena = self._arena, None
         self._executor_workers = 0
-        self._arena_epoch = -1
-        try:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-        finally:
-            if arena is not None:
-                arena.destroy()
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def __getstate__(self) -> dict:
-        # Worker pools and shared-memory mappings cannot be copied or
-        # pickled; the copy respawns/rebuilds its own on first use.
+        # Worker pools and file mappings cannot be copied or pickled; the
+        # copy respawns its own pool on first use, and its stores own
+        # copies of the mapped arrays.
         state = dict(self.__dict__)
         state["_executor"] = None
         state["_executor_workers"] = 0
         state["_arena"] = None
-        state["_arena_epoch"] = -1
         return state
 
     def __del__(self) -> None:
@@ -1188,7 +841,6 @@ class ShardedVectorIndex:
                 shard.max_day = max(shard.max_day, day)
                 self._locator[incident_ids[row]] = key
         self._next_seq += count
-        self._epoch += 1
         self._inserts_since_compact += count
         if (
             self.compaction.auto
@@ -1226,7 +878,6 @@ class ShardedVectorIndex:
             shard.cat_codes[row] = self._code_for(category)
             shard._code_array = None
             shard.invalidate_data()
-            self._epoch += 1
 
     # ------------------------------------------------------------------ search
     def search(
@@ -1365,7 +1016,7 @@ class ShardedVectorIndex:
             for qi in range(total_queries)
         ]
         # The category filter compiled to integer codes once per call so
-        # every extraction — local or in a worker process — shares it.
+        # every extraction shares it.
         allowed_codes: Optional[Tuple[int, ...]] = None
         if categories is not None:
             allowed_codes = tuple(
@@ -1378,20 +1029,14 @@ class ShardedVectorIndex:
         # Parallel mode: a wave's shards are independent — every query
         # nominates exactly one shard per wave and prune decisions were
         # taken against the pool state as of wave start — so scoring and
-        # candidate extraction fan out to workers (threads: numpy releases
-        # the GIL inside its scoring loops; processes: workers attach the
-        # shared arena and ship back only candidate payloads) while every
-        # state mutation is folded on this thread in sorted-key order,
-        # exactly like the sequential path.  Parity is structural: all
-        # modes run the same extract/fold code, only scheduling differs.
+        # candidate extraction fan out to threads (numpy releases the GIL
+        # inside its scoring loops) while every state mutation is folded
+        # on this thread in sorted-key order, exactly like the sequential
+        # path.  Parity is structural: both modes run the same
+        # extract/fold code, only scheduling differs.
         workers = self._effective_workers()
-        use_processes = self.scoring_backend == "process"
         while True:
             nominations: Dict[int, List[int]] = {}
-            # Pool floors captured at nomination time (wave-start state):
-            # both the prune test and the quantized prefilter threshold
-            # must see the same floor in every execution mode.
-            wave_floors: Dict[int, float] = {}
             for qi, state in enumerate(states):
                 if state.done:
                     continue
@@ -1402,72 +1047,29 @@ class ShardedVectorIndex:
                     state.done = True
                 else:
                     nominations.setdefault(key, []).append(qi)
-                    wave_floors[qi] = state.pool_min(pool_size)
             if not nominations:
                 break
             keys = sorted(nominations)
+            extract_args = [
+                (
+                    key,
+                    nominations[key],
+                    queries,
+                    days,
+                    excludes,
+                    history_before_day,
+                    allowed_codes,
+                    pool_size,
+                    diverse,
+                )
+                for key in keys
+            ]
             if workers > 1 and len(keys) > 1:
                 pool = self._pool_for(workers)
-                if use_processes:
-                    spec = self._ensure_arena().spec
-                    futures = [
-                        pool.submit(
-                            _extract_in_worker,
-                            spec,
-                            key,
-                            queries[nominations[key]],
-                            days[nominations[key]],
-                            [
-                                self._exclude_rows(self._shards[key], excludes[qi])
-                                for qi in nominations[key]
-                            ],
-                            history_before_day,
-                            allowed_codes,
-                            np.array(
-                                [wave_floors[qi] for qi in nominations[key]],
-                                dtype=np.float64,
-                            ),
-                            pool_size,
-                            diverse,
-                            alpha,
-                            self.quantized_prefilter,
-                        )
-                        for key in keys
-                    ]
-                else:
-                    futures = [
-                        pool.submit(
-                            self._extract_local,
-                            key,
-                            nominations[key],
-                            queries,
-                            days,
-                            excludes,
-                            history_before_day,
-                            allowed_codes,
-                            wave_floors,
-                            pool_size,
-                            diverse,
-                        )
-                        for key in keys
-                    ]
+                futures = [pool.submit(self._extract_local, *args) for args in extract_args]
                 extracted = [future.result() for future in futures]
             else:
-                extracted = [
-                    self._extract_local(
-                        key,
-                        nominations[key],
-                        queries,
-                        days,
-                        excludes,
-                        history_before_day,
-                        allowed_codes,
-                        wave_floors,
-                        pool_size,
-                        diverse,
-                    )
-                    for key in keys
-                ]
+                extracted = [self._extract_local(*args) for args in extract_args]
             for key, payloads in zip(keys, extracted):
                 shard = self._shards[key]
                 for qi, candidates in zip(nominations[key], payloads):
@@ -1576,14 +1178,12 @@ class ShardedVectorIndex:
         excludes: List[Optional[Set[str]]],
         history_before_day: Optional[float],
         allowed_codes: Optional[Tuple[int, ...]],
-        wave_floors: Dict[int, float],
         pool_size: int,
         diverse: bool,
     ) -> List[_Candidates]:
-        """Extract one shard's candidates in-process (sequential/thread mode)."""
+        """Extract one shard's candidates (inline or on a pool thread)."""
         shard = self._shards[key]
         exclude_rows = [self._exclude_rows(shard, excludes[qi]) for qi in qrows]
-        floors = np.array([wave_floors[qi] for qi in qrows], dtype=np.float64)
         return _extract_block(
             shard.data(),
             queries[qrows],
@@ -1591,11 +1191,9 @@ class ShardedVectorIndex:
             exclude_rows,
             history_before_day,
             allowed_codes,
-            floors,
             pool_size,
             diverse,
             self._similarity.alpha,
-            self.quantized_prefilter,
         )
 
     def _fold(
@@ -1912,7 +1510,6 @@ class ShardedVectorIndex:
             self._shards_split += split_sources
             self._shards_merged += merged_sources
             self._rebuild_ranges()
-            self._epoch += 1
         sizes = sorted(len(shard.store) for shard in self._shards.values())
         return {
             "shards_before": float(shards_before),
@@ -1925,114 +1522,93 @@ class ShardedVectorIndex:
         }
 
     # ------------------------------------------------------------ persistence
-    def save(self, path, version: int = 3) -> None:
-        """Persist to a directory (v3 default: one mmap arena + manifest).
+    def save(self, path) -> None:
+        """Persist to a directory: one mmap-able ``arena.bin`` + ``manifest.json``.
 
-        Version 3 lays every shard's scoring payload — including the cached
-        squared norms and the int8 quantized copy — into a single aligned
-        ``arena.bin`` whose byte layout is identical to the in-memory
-        shared arena, so :meth:`load` memory-maps it instead of
-        materializing per-shard ``.npz`` arrays; pages fault in lazily as
-        queries actually scan shards.  ``manifest.json`` records the block
-        layout plus the JSON-only metadata (ids, texts, category table,
-        day ranges).
+        The arena lays every shard's scoring payload — including the cached
+        squared norms — into a single aligned file, so :meth:`load`
+        memory-maps it instead of materializing per-shard arrays; pages
+        fault in lazily as queries actually scan shards.  ``manifest.json``
+        records the block layout plus the JSON-only metadata (ids, texts,
+        category table, day ranges).
 
-        ``version=2`` writes the legacy layout (self-contained
-        :meth:`VectorStore.save` archives per shard) for interop with
-        older readers; :meth:`load` reads versions 1–3.
+        Both files are written to temporaries beside their targets and
+        renamed into place.  That makes saving a loaded index back to its
+        own directory safe: its shards are views into the old
+        ``arena.bin``, which stays mapped and intact after the rename
+        unlinks it, instead of being truncated under the views.
 
         Accepts ``str`` or :class:`pathlib.Path`.
         """
         path = os.fspath(path)
         os.makedirs(path, exist_ok=True)
-        if version == 2:
-            shards_meta = []
-            for key in sorted(self._shards):
-                shard = self._shards[key]
-                filename = f"shard-{key}.npz"
-                shard.store.save(os.path.join(path, filename))
-                shards_meta.append(
-                    {
-                        "key": key,
-                        "file": filename,
-                        "seqs": shard.seqs,
-                        "start_day": shard.start_day,
-                        "end_day": shard.end_day,
-                    }
-                )
-            manifest = {
-                "format": "sharded-vector-index",
-                "version": 2,
-                "window_days": self.window_days,
-                "next_seq": self._next_seq,
-                "next_shard_key": self._next_shard_key,
-                "shards": shards_meta,
-            }
-            with open(
-                os.path.join(path, SHARDED_MANIFEST), "w", encoding="utf-8"
-            ) as handle:
-                json.dump(manifest, handle)
-            return
-        if version != 3:
-            raise ValueError(f"unsupported manifest version: {version!r}")
         payloads = []
         for key in sorted(self._shards):
             data = self._shards[key].data()
-            q8, qscale, ql1 = data.quant()
             payloads.append(
                 (key, {
                     "matrix": data.matrix, "days": data.days,
                     "sq_norms": data.sq_norms, "seqs": data.seqs,
-                    "codes": data.codes, "q8": q8, "qscale": qscale,
-                    "ql1": ql1,
+                    "codes": data.codes,
                 })
             )
-        arena = ShardArena.build(
-            payloads, kind="file", path=os.path.join(path, ARENA_FILENAME)
-        )
-        blocks_meta = [
-            {
-                "key": block.key,
-                "rows": block.rows,
-                "dim": block.dim,
-                "offsets": [[name, offset] for name, offset in block.offsets],
-            }
-            for block in arena.spec.blocks
-        ]
-        arena_size = arena.spec.size
-        arena.close()
-        code_to_name = {code: name for name, code in self._cat_code.items()}
-        shards_meta = []
-        for key in sorted(self._shards):
-            shard = self._shards[key]
-            shards_meta.append(
+        arena_path = os.path.join(path, ARENA_FILENAME)
+        manifest_path = os.path.join(path, SHARDED_MANIFEST)
+        arena_temp = arena_path + ".tmp"
+        manifest_temp = manifest_path + ".tmp"
+        try:
+            arena = ShardArena.build(payloads, arena_temp)
+            blocks_meta = [
                 {
-                    "key": key,
-                    "start_day": shard.start_day,
-                    "end_day": shard.end_day,
-                    "min_day": shard.min_day,
-                    "max_day": shard.max_day,
-                    "ids": [entry.incident_id for entry in shard.store],
-                    "texts": [entry.text for entry in shard.store],
+                    "key": block.key,
+                    "rows": block.rows,
+                    "dim": block.dim,
+                    "offsets": [[name, offset] for name, offset in block.offsets],
                 }
-            )
-        manifest = {
-            "format": "sharded-vector-index",
-            "version": 3,
-            "window_days": self.window_days,
-            "next_seq": self._next_seq,
-            "next_shard_key": self._next_shard_key,
-            "dim": self._dim,
-            "categories": [code_to_name[code] for code in range(len(code_to_name))],
-            "arena": {
-                "file": ARENA_FILENAME,
-                "size": arena_size,
-                "blocks": blocks_meta,
-            },
-            "shards": shards_meta,
-        }
-        with open(os.path.join(path, SHARDED_MANIFEST), "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
+                for block in arena.spec.blocks
+            ]
+            arena_size = arena.spec.size
+            arena.close()
+            code_to_name = {code: name for name, code in self._cat_code.items()}
+            shards_meta = []
+            for key in sorted(self._shards):
+                shard = self._shards[key]
+                shards_meta.append(
+                    {
+                        "key": key,
+                        "start_day": shard.start_day,
+                        "end_day": shard.end_day,
+                        "min_day": shard.min_day,
+                        "max_day": shard.max_day,
+                        "ids": [entry.incident_id for entry in shard.store],
+                        "texts": [entry.text for entry in shard.store],
+                    }
+                )
+            manifest = {
+                "format": "sharded-vector-index",
+                "version": 3,
+                "window_days": self.window_days,
+                "next_seq": self._next_seq,
+                "next_shard_key": self._next_shard_key,
+                "dim": self._dim,
+                "categories": [code_to_name[code] for code in range(len(code_to_name))],
+                "arena": {
+                    "file": ARENA_FILENAME,
+                    "size": arena_size,
+                    "blocks": blocks_meta,
+                },
+                "shards": shards_meta,
+            }
+            with open(manifest_temp, "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(arena_temp, arena_path)
+            os.replace(manifest_temp, manifest_path)
+        finally:
+            for temp in (arena_temp, manifest_temp):
+                if os.path.exists(temp):
+                    os.remove(temp)
 
     @classmethod
     def load(
@@ -2041,27 +1617,23 @@ class ShardedVectorIndex:
         similarity: Optional[SimilarityConfig] = None,
         max_workers: Optional[int] = None,
         compaction: Optional[CompactionPolicy] = None,
-        scoring_backend: str = "thread",
-        quantized_prefilter: bool = False,
     ) -> "ShardedVectorIndex":
         """Re-open an index written by :meth:`save`.
 
-        Reads all three manifest versions: version 3 memory-maps the
-        ``arena.bin`` payload (shard arrays are views into the mapping,
-        zero copies; stores go copy-on-grow on the first subsequent
-        insert); version 2 records each shard's routing day range
-        (compacted layouts); version 1 predates compaction and derives the
-        range from the shard key and window width.
+        Memory-maps the ``arena.bin`` payload: shard arrays are views into
+        the mapping, zero copies, and stores go copy-on-grow on the first
+        subsequent insert.
 
         Raises :class:`~repro.core.errors.IndexCorruptionError` — a typed,
-        permanent failure — whenever the on-disk state is corrupt or
-        partial: undecodable or structurally invalid ``manifest.json``, an
+        permanent failure — whenever the on-disk state is corrupt, partial
+        or unreadable: undecodable or structurally invalid
+        ``manifest.json``, a manifest version other than 3, an
         ``arena.bin`` shorter than the manifest claims, or shard metadata
         that does not reconstruct.  A missing manifest stays a plain
         ``FileNotFoundError`` (absent, not corrupt).  Callers that must
         survive corruption go through
-        :func:`repro.chaos.load_index_resilient`, which falls back to
-        legacy per-shard archives or a rebuild-from-store callback.
+        :func:`repro.chaos.load_index_resilient`, which falls back to a
+        rebuild-from-store callback.
         """
         path = os.fspath(path)
         manifest_path = os.path.join(path, SHARDED_MANIFEST)
@@ -2080,6 +1652,11 @@ class ShardedVectorIndex:
             )
         if manifest.get("format") != "sharded-vector-index":
             raise IndexCorruptionError(f"not a sharded vector index: {path}")
+        if manifest.get("version") != 3:
+            raise IndexCorruptionError(
+                f"unsupported manifest version {manifest.get('version')!r} at "
+                f"{manifest_path} (only version 3 is readable)"
+            )
         try:
             return cls._load_from_manifest(
                 path,
@@ -2087,8 +1664,6 @@ class ShardedVectorIndex:
                 similarity=similarity,
                 max_workers=max_workers,
                 compaction=compaction,
-                scoring_backend=scoring_backend,
-                quantized_prefilter=quantized_prefilter,
             )
         except IndexCorruptionError:
             raise
@@ -2103,118 +1678,85 @@ class ShardedVectorIndex:
         similarity: Optional[SimilarityConfig],
         max_workers: Optional[int],
         compaction: Optional[CompactionPolicy],
-        scoring_backend: str,
-        quantized_prefilter: bool,
     ) -> "ShardedVectorIndex":
-        """Reconstruct an index from a decoded manifest (see :meth:`load`)."""
+        """Reconstruct an index from a decoded v3 manifest (see :meth:`load`)."""
         index = cls(
             similarity=similarity,
             window_days=float(manifest["window_days"]),
             max_workers=max_workers,
             compaction=compaction,
-            scoring_backend=scoring_backend,
-            quantized_prefilter=quantized_prefilter,
         )
-        if int(manifest.get("version", 1)) >= 3:
-            # Seed the category code table in the exact order it was saved
-            # so stored per-row codes stay valid.
-            table = list(manifest["categories"])
-            for name in table:
-                index._code_for(name)
-            blocks = tuple(
-                BlockSpec(
-                    key=int(meta["key"]),
-                    rows=int(meta["rows"]),
-                    dim=int(meta["dim"]),
-                    offsets=tuple(
-                        (str(name), int(offset)) for name, offset in meta["offsets"]
-                    ),
-                )
-                for meta in manifest["arena"]["blocks"]
+        # Seed the category code table in the exact order it was saved so
+        # stored per-row codes stay valid.
+        table = list(manifest["categories"])
+        for name in table:
+            index._code_for(name)
+        blocks = tuple(
+            BlockSpec(
+                key=int(meta["key"]),
+                rows=int(meta["rows"]),
+                dim=int(meta["dim"]),
+                offsets=tuple(
+                    (str(name), int(offset)) for name, offset in meta["offsets"]
+                ),
             )
-            arena_file = os.path.abspath(os.path.join(path, manifest["arena"]["file"]))
-            arena_size = int(manifest["arena"]["size"])
-            # A partial write (crashed save, torn copy) leaves the arena
-            # shorter than the manifest's block layout expects; mmap'ing it
-            # anyway would fault lazily on first scan of the missing pages,
-            # so fail fast with the typed corruption error instead.
-            try:
-                actual_size = os.path.getsize(arena_file)
-            except OSError as exc:
-                raise IndexCorruptionError(
-                    f"missing arena file {arena_file}: {exc}"
-                ) from exc
-            if actual_size < arena_size:
-                raise IndexCorruptionError(
-                    f"partial arena file {arena_file}: {actual_size} bytes on "
-                    f"disk, manifest expects {arena_size}"
-                )
-            spec = ArenaSpec(
-                kind="file",
-                name=arena_file,
-                size=arena_size,
-                blocks=blocks,
+            for meta in manifest["arena"]["blocks"]
+        )
+        arena_file = os.path.abspath(os.path.join(path, manifest["arena"]["file"]))
+        arena_size = int(manifest["arena"]["size"])
+        # A partial write (crashed save, torn copy) leaves the arena shorter
+        # than the manifest's block layout expects; mmap'ing it anyway would
+        # fault lazily on first scan of the missing pages, so fail fast with
+        # the typed corruption error instead.
+        try:
+            actual_size = os.path.getsize(arena_file)
+        except OSError as exc:
+            raise IndexCorruptionError(
+                f"missing arena file {arena_file}: {exc}"
+            ) from exc
+        if actual_size < arena_size:
+            raise IndexCorruptionError(
+                f"partial arena file {arena_file}: {actual_size} bytes on "
+                f"disk, manifest expects {arena_size}"
             )
-            arena = ShardArena.attach(spec)
-            for meta in manifest["shards"]:
-                key = int(meta["key"])
-                views = arena.views(key)
-                codes = [int(code) for code in views["codes"]]
-                categories = [table[code] for code in codes]
-                store = VectorStore.wrap(
-                    matrix=views["matrix"],
-                    created_days=views["days"],
-                    sq_norms=views["sq_norms"],
-                    incident_ids=meta["ids"],
-                    categories=categories,
-                    texts=meta["texts"],
-                )
-                shard = _Shard(
-                    key,
-                    index._similarity,
-                    start_day=float(meta["start_day"]),
-                    end_day=float(meta["end_day"]),
-                )
-                shard.store = store
-                shard.seqs = [int(seq) for seq in views["seqs"]]
-                shard.cat_codes = codes
-                shard.cat_counts = Counter(categories)
-                shard.min_day = float(meta["min_day"])
-                shard.max_day = float(meta["max_day"])
-                for incident_id in meta["ids"]:
-                    index._locator[incident_id] = key
-                index._shards[key] = shard
-                if store.dim is not None:
-                    index._dim = store.dim
-            if index._dim is None and manifest.get("dim") is not None:
-                index._dim = int(manifest["dim"])
-            # Keep the mapping referenced for the index lifetime; destroy()
-            # on a file-kind arena only drops the mapping, never the file.
-            index._arena = arena
-            index._arena_epoch = index._epoch
-        else:
-            for meta in manifest["shards"]:
-                key = int(meta["key"])
-                store = VectorStore.load(os.path.join(path, meta["file"]))
-                shard = _Shard(
-                    key,
-                    index._similarity,
-                    start_day=float(meta.get("start_day", key * index.window_days)),
-                    end_day=float(meta.get("end_day", (key + 1) * index.window_days)),
-                )
-                shard.store = store
-                shard.seqs = [int(seq) for seq in meta["seqs"]]
-                for entry in store:
-                    shard.cat_codes.append(index._code_for(entry.category))
-                    shard.cat_counts[entry.category] += 1
-                    shard.min_day = min(shard.min_day, entry.created_day)
-                    shard.max_day = max(shard.max_day, entry.created_day)
-                    index._locator[entry.incident_id] = key
-                index._shards[key] = shard
-                if store.dim is not None:
-                    index._dim = store.dim
+        arena = ShardArena.attach(
+            ArenaSpec(path=arena_file, size=arena_size, blocks=blocks)
+        )
+        for meta in manifest["shards"]:
+            key = int(meta["key"])
+            views = arena.views(key)
+            codes = [int(code) for code in views["codes"]]
+            categories = [table[code] for code in codes]
+            store = VectorStore.wrap(
+                matrix=views["matrix"],
+                created_days=views["days"],
+                sq_norms=views["sq_norms"],
+                incident_ids=meta["ids"],
+                categories=categories,
+                texts=meta["texts"],
+            )
+            shard = _Shard(
+                key,
+                index._similarity,
+                start_day=float(meta["start_day"]),
+                end_day=float(meta["end_day"]),
+            )
+            shard.store = store
+            shard.seqs = [int(seq) for seq in views["seqs"]]
+            shard.cat_codes = codes
+            shard.cat_counts = Counter(categories)
+            shard.min_day = float(meta["min_day"])
+            shard.max_day = float(meta["max_day"])
+            for incident_id in meta["ids"]:
+                index._locator[incident_id] = key
+            index._shards[key] = shard
+            if store.dim is not None:
+                index._dim = store.dim
+        if index._dim is None and manifest.get("dim") is not None:
+            index._dim = int(manifest["dim"])
+        index._arena = arena
         index._next_seq = int(manifest["next_seq"])
-        index._next_shard_key = int(manifest.get("next_shard_key", 0))
+        index._next_shard_key = int(manifest["next_shard_key"])
         index._rebuild_ranges()
         return index
 

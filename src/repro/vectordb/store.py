@@ -217,8 +217,7 @@ class VectorStore:
         """``|v|^2`` of every stored vector, aligned with :meth:`matrix` rows.
 
         Cached incrementally: only rows added since the last call are
-        computed, so the sharded index's repeated int8 prefilter passes
-        never re-reduce the whole history.
+        computed, so repeated calls never re-reduce the whole history.
         """
         size = len(self._entries)
         if size == 0:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.chaos import load_index_resilient, load_legacy_shards
+from repro.chaos import load_index_resilient
 from repro.core.errors import IndexCorruptionError, PermanentError
 from repro.telemetry import TelemetryHub
 from repro.vectordb import ShardedVectorIndex, load_index
@@ -64,6 +64,20 @@ def test_wrong_format_raises_typed_error(tmp_path):
         ShardedVectorIndex.load(str(path))
 
 
+def test_pre_v3_manifest_raises_typed_error(tmp_path):
+    """Only manifest v3 is readable; an older one is a permanent load error."""
+    index = _build_index()
+    path = tmp_path / "idx"
+    index.save(str(path))
+    index.close()
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexCorruptionError, match="manifest version"):
+        ShardedVectorIndex.load(str(path))
+
+
 def test_partial_arena_raises_typed_error(tmp_path):
     index = _build_index()
     path = tmp_path / "idx"
@@ -108,29 +122,8 @@ def test_resilient_load_primary_path(tmp_path):
     loaded.close()
 
 
-def test_resilient_load_falls_back_to_legacy_shards(tmp_path):
-    """A v2 save whose manifest rots is rebuilt from its .npz archives."""
-    index = _build_index()
-    path = tmp_path / "idx"
-    index.save(str(path), version=2)
-    expected = _neighbor_ids(index)
-    index.close()
-    (path / "manifest.json").write_bytes(b"{corrupt")
-    hub = TelemetryHub()
-    loaded, source = load_index_resilient(str(path), window_days=10.0, hub=hub)
-    assert source == "legacy"
-    assert _neighbor_ids(loaded) == expected
-    assert (
-        hub.metrics.latest(
-            "rcacopilot.faults.index_legacy_fallbacks", "chaos-recovery"
-        )
-        == 1.0
-    )
-    loaded.close()
-
-
 def test_resilient_load_falls_back_to_rebuild(tmp_path):
-    """A v3 save with a torn arena and no legacy archives rebuilds from store."""
+    """A v3 save with a torn arena rebuilds from the store."""
     index = _build_index()
     path = tmp_path / "idx"
     index.save(str(path))
@@ -160,6 +153,3 @@ def test_resilient_load_exhausted_reraises(tmp_path):
     with pytest.raises(IndexCorruptionError):
         load_index_resilient(str(path))
 
-
-def test_load_legacy_shards_returns_none_without_archives(tmp_path):
-    assert load_legacy_shards(str(tmp_path)) is None

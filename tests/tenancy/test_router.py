@@ -38,9 +38,6 @@ from repro.llm import SimulatedLLM
 from repro.telemetry import TelemetryHub
 from repro.tenancy import (
     DEFAULT_TENANT,
-    CollectService,
-    IngestService,
-    RetrievalService,
     TenantQueue,
     TenantQueueFull,
     TenantQuota,
@@ -237,24 +234,6 @@ class TestNamespacedIndexMap:
         spaces = NamespacedIndexMap(factory=lambda namespace: _FakeIndex(0))
         created = spaces.get_or_create("alpha")
         assert spaces.get("alpha") is created
-
-
-# -------------------------------------------------------------- services
-class TestServiceProtocols:
-    def test_decomposed_services_satisfy_their_protocols(self):
-        router = build_router(1, with_history=False)
-        try:
-            assert isinstance(router, IngestService)
-            assert isinstance(router._collect_pool, CollectionPool)
-            assert isinstance(router._collect_pool, CollectService)
-            index = router.tenant_copilot("alpha").prediction.index
-            assert index is None  # unindexed tenant
-            router.index_history("alpha", tenant_history())
-            index = router.tenant_copilot("alpha").prediction.index
-            assert isinstance(index, RetrievalService)
-            assert router.retrieval.get("alpha") is index
-        finally:
-            router.stop()
 
 
 # ------------------------------------------------------------ fair share
@@ -665,8 +644,13 @@ class TestTenantTelemetry:
             assert flat["tenant.alpha.processed"] == 1.0
             assert flat["tenant.beta.processed"] == 0.0
             assert any(key.startswith("collect.") for key in flat)
+            assert isinstance(router._collect_pool, CollectionPool)
             assert flat["retrieval.namespaces"] == 2.0
             assert flat["retrieval.entries_total"] == 80.0
+            # The retrieval rollup reads each tenant's own pipeline index.
+            index = router.tenant_copilot("alpha").prediction.index
+            assert index is not None
+            assert router.retrieval.get("alpha") is index
         finally:
             router.stop()
 

@@ -37,11 +37,8 @@ RETRIEVAL = {
         "parallel_over_sequential_live": 1.6,
     },
     "stats": {"scanned_shard_ratio": 0.05},
-    "process": {
-        "speedup_replay": 2.1,
-        "worker_rss_ratio": 0.03,
-        "arena_bytes": 110_000_000,
-    },
+    # Blocks of retired retrieval profiles, as older archives carry them.
+    "process": {"speedup_replay": 2.1, "arena_bytes": 110_000_000},
     "quantized_prefilter": {"speedup_live": 1.2},
 }
 
@@ -67,10 +64,18 @@ def test_report_renders_trend_across_runs(tmp_path):
     assert "| throughput | autoscaled wall vs best static (bursty) | 0.95 | 0.95 |" in report
     # run-b has no retrieval artifact: its retrieval cells show "—".
     assert "| retrieval | sharded vs flat speedup (live) | 3.70 | — |" in report
-    assert "| retrieval | process vs sequential sharded (replay) | 2.10 | — |" in report
-    assert "| retrieval | process worker RSS / index bytes | 0.03 | — |" in report
-    assert "| retrieval | int8 prefilter speedup (live) | 1.20 | — |" in report
     assert "run-a: quick" in report and "run-b: full" in report
+
+
+def test_retired_retrieval_blocks_render_without_rows(tmp_path):
+    """Archives recorded while the process-scoring backend and the int8
+    prefilter existed carry a block for each; the report still renders
+    such archives, and has no rows for those blocks."""
+    write_run(tmp_path / "old", retrieval=RETRIEVAL)
+    report = bench_report.render_report([bench_report.load_run(str(tmp_path / "old"))])
+    assert "| retrieval | scanned shard ratio | 0.05 |" in report
+    assert "process" not in report
+    assert "prefilter" not in report
 
 
 def test_report_survives_garbage_payloads(tmp_path):

@@ -87,7 +87,7 @@ def test_no_wallclock_calls_outside_clock_module():
 
 def test_lint_walk_covers_the_tenancy_package():
     """Regression: new packages are linted by virtue of the os.walk — pin
-    that the tenancy service layer (added after the lint) is in its scope."""
+    that the tenancy package (added after the lint) is in its scope."""
     root = repro_root()
     walked = {
         os.path.relpath(os.path.join(dirpath, filename), root)
@@ -95,7 +95,7 @@ def test_lint_walk_covers_the_tenancy_package():
         for filename in filenames
         if filename.endswith(".py")
     }
-    for expected in ("router.py", "services.py", "__init__.py"):
+    for expected in ("router.py", "__init__.py"):
         assert os.path.join("tenancy", expected) in walked
 
 

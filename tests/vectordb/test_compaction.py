@@ -379,32 +379,6 @@ class TestCompactionPersistence:
         loaded.add("fresh", rng.standard_normal(DIM), 100.0, "Fresh")
         assert "fresh" in loaded
 
-    def test_version_2_save_roundtrip(self, tmp_path):
-        """``save(version=2)`` keeps emitting the per-shard .npz layout."""
-        similarity = SimilarityConfig(alpha=0.3, k=5)
-        index = ShardedVectorIndex(similarity, window_days=WINDOW)
-        ids, vectors, days, categories = skewed_corpus(total=800)
-        index.add_many(ids, vectors, days, categories)
-        target = str(tmp_path / "legacy-index")
-        index.save(target, version=2)
-
-        with open(os.path.join(target, "manifest.json"), encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        assert manifest["version"] == 2
-        for meta in manifest["shards"]:
-            assert os.path.exists(os.path.join(target, meta["file"]))
-
-        loaded = ShardedVectorIndex.load(target, similarity=similarity)
-        assert len(loaded) == len(index)
-        assert loaded.shard_sizes() == index.shard_sizes()
-        rng = np.random.default_rng(33)
-        queries = rng.standard_normal((4, DIM))
-        query_days = rng.uniform(0.0, 760.0, size=4)
-        assert_same_results(
-            index.search_many(queries, query_days),
-            loaded.search_many(queries, query_days),
-        )
-
     def test_load_index_forwards_runtime_knobs(self, tmp_path):
         """The dispatching loader restores max_workers and the policy.
 
@@ -430,35 +404,3 @@ class TestCompactionPersistence:
         assert isinstance(loaded, ShardedVectorIndex)
         assert loaded.max_workers == 2
         assert loaded.compaction is policy
-
-    def test_version_1_manifest_still_loads(self, tmp_path):
-        """Pre-compaction saves (no day ranges in the manifest) stay readable."""
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        index = ShardedVectorIndex(similarity, window_days=20.0)
-        rng = np.random.default_rng(4)
-        index.add_many(
-            [f"i{i}" for i in range(60)],
-            rng.standard_normal((60, 5)),
-            rng.uniform(0.0, 100.0, size=60),
-            [f"c{i % 4}" for i in range(60)],
-        )
-        target = str(tmp_path / "v1-index")
-        index.save(target, version=2)
-        manifest_path = os.path.join(target, "manifest.json")
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        manifest["version"] = 1
-        manifest.pop("next_shard_key")
-        for meta in manifest["shards"]:
-            meta.pop("start_day")
-            meta.pop("end_day")
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
-        loaded = ShardedVectorIndex.load(target, similarity=similarity)
-        assert len(loaded) == 60
-        query = rng.standard_normal(5)
-        assert_same_results(
-            [index.search(query, 90.0)], [loaded.search(query, 90.0)]
-        )
-        loaded.add("later", rng.standard_normal(5), 45.0, "c1")
-        assert len(loaded.shard_sizes()) == len(index.shard_sizes())

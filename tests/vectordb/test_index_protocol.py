@@ -4,8 +4,9 @@ The contract under test: the flat and sharded index implementations return
 *identical* neighbour lists for every query — sharding and bound-based
 pruning are invisible to callers.  Alongside the parity property tests sit
 the persistence round-trip regressions (dtype, capacity re-growth, cached
-squared-norm extension) backing the independent-shard persistence work, and
-the loud-KeyError contract of ``update_category`` on both backends.
+squared-norm extension, in-place re-save, reading the earlier v3 arena
+layout), and the loud-KeyError contract of ``update_category`` on both
+backends.
 """
 
 from __future__ import annotations
@@ -301,30 +302,6 @@ class TestPersistence:
         loaded.add("c", np.array([2.0, 2.0]), 3.0, "C")
         np.testing.assert_allclose(loaded.squared_norms(), [25.0, 1.0, 8.0])
 
-    def test_sharded_roundtrip_with_independent_shard_files(self, tmp_path):
-        """The legacy v2 layout (one .npz per shard) still round-trips."""
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        sharded = populated(ShardedVectorIndex(similarity, window_days=20.0))
-        sharded.update_category("i11", "Rewritten")
-        target = str(tmp_path / "sharded-index")
-        sharded.save(target, version=2)
-        files = sorted(os.listdir(target))
-        assert "manifest.json" in files
-        shard_files = [name for name in files if name.startswith("shard-")]
-        assert len(shard_files) == len(sharded.shard_sizes())
-        loaded = ShardedVectorIndex.load(target, similarity=similarity)
-        assert len(loaded) == len(sharded)
-        assert loaded.get("i11").category == "Rewritten"
-        rng = np.random.default_rng(21)
-        queries = rng.standard_normal((5, 8))
-        days = rng.uniform(0.0, 140.0, size=5)
-        assert_same_results(
-            sharded.search_many(queries, days), loaded.search_many(queries, days)
-        )
-        # New inserts keep working post-load (sequence numbers continue).
-        loaded.add("fresh", rng.standard_normal(8), 130.0, "Fresh")
-        assert "fresh" in loaded
-
     def test_sharded_v3_arena_roundtrip(self, tmp_path):
         """The default save is the v3 single-arena layout and round-trips."""
         similarity = SimilarityConfig(alpha=0.3, k=4)
@@ -352,6 +329,73 @@ class TestPersistence:
             loaded.search_many(queries, days, exclude_ids=[{"fresh"}] * 5),
         )
         loaded.close()
+
+    def test_in_place_save_of_a_loaded_index(self, tmp_path):
+        """Saving a loaded index back to its own directory loses nothing.
+
+        A loaded index's shard matrices are views into the mapped
+        ``arena.bin``; the save must not truncate that file under them.
+        Vectors stay bitwise equal — in memory and after reload — and
+        neighbours identical, also after a post-load insert.
+        """
+        similarity = SimilarityConfig(alpha=0.3, k=4)
+        original = populated(ShardedVectorIndex(similarity, window_days=20.0))
+        ids = [f"i{i}" for i in range(len(original))]
+        target = str(tmp_path / "index")
+        original.save(target)
+        rng = np.random.default_rng(12)
+        queries = rng.standard_normal((6, 8))
+        days = rng.uniform(0.0, 140.0, size=6)
+
+        def assert_identical(index, expected_ids):
+            for incident_id in expected_ids:
+                np.testing.assert_array_equal(
+                    index.get(incident_id).vector, original.get(incident_id).vector
+                )
+            expected = original.search_many(queries, days)
+            actual = index.search_many(queries, days)
+            assert [[(n.incident_id, n.similarity) for n in row] for row in actual] == [
+                [(n.incident_id, n.similarity) for n in row] for row in expected
+            ]
+
+        loaded = ShardedVectorIndex.load(target, similarity=similarity)
+        loaded.save(target)
+        assert_identical(loaded, ids)
+        reloaded = ShardedVectorIndex.load(target, similarity=similarity)
+        assert_identical(reloaded, ids)
+
+        fresh = rng.standard_normal(8)
+        for index in (original, reloaded):
+            index.add("fresh", fresh, 130.0, "Fresh")
+        reloaded.save(target)
+        assert_identical(reloaded, ids + ["fresh"])
+        assert_identical(
+            ShardedVectorIndex.load(target, similarity=similarity), ids + ["fresh"]
+        )
+        assert sorted(os.listdir(target)) == ["arena.bin", "manifest.json"]
+
+    def test_reads_v3_arena_with_int8_fields(self):
+        """A v3 index whose arena also carries the retired int8 fields
+        (``q8``/``qscale``/``ql1``) still loads: the loader finds each field
+        by its offset in the manifest and ignores the rest."""
+        similarity = SimilarityConfig(alpha=0.3, k=4)
+        fixture = os.path.join(os.path.dirname(__file__), "data", "int8-layout-v3")
+        loaded = ShardedVectorIndex.load(fixture, similarity=similarity)
+        expected = populated(
+            ShardedVectorIndex(similarity, window_days=20.0),
+            count=24, dim=4, categories=5, duration=60.0,
+        )
+        assert loaded.shard_sizes() == expected.shard_sizes()
+        for incident_id in (f"i{i}" for i in range(24)):
+            np.testing.assert_array_equal(
+                loaded.get(incident_id).vector, expected.get(incident_id).vector
+            )
+        rng = np.random.default_rng(3)
+        queries = rng.standard_normal((4, 4))
+        days = rng.uniform(0.0, 70.0, size=4)
+        assert_same_results(
+            expected.search_many(queries, days), loaded.search_many(queries, days)
+        )
 
     def test_store_and_index_accept_pathlib_paths(self, tmp_path):
         """Satellite: every save/load entry point takes ``pathlib.Path``."""

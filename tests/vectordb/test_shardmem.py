@@ -1,9 +1,8 @@
-"""The shared-memory / mmap arena layer under the sharded index.
+"""The arena file under the sharded index, and the shared-memory blob.
 
-Unit coverage for the layout planner, the int8 row quantizer and the
-arena build/attach/views lifecycle for both backings (POSIX shm and
-plain files), plus the satellite leak regression: a process-backend
-index must leave ``/dev/shm`` exactly as it found it after ``close()``.
+Unit coverage for the layout planner, the arena file's build/attach/views
+lifecycle, and :class:`SharedBlob` — the collection pool's pickled
+telemetry-hub snapshot in one POSIX shared-memory segment.
 """
 
 from __future__ import annotations
@@ -15,19 +14,13 @@ import sys
 import numpy as np
 import pytest
 
-from repro.vectordb import ShardedVectorIndex, SimilarityConfig
 from repro.vectordb.shardmem import (
     ALIGNMENT,
     ArenaSpec,
     BlobSpec,
-    QUANT_HALF_STEP,
     ShardArena,
     SharedBlob,
-    attached_arena,
     plan_layout,
-    quantize_rows,
-    release_attachments,
-    rss_anon_kb,
 )
 
 LINUX_ONLY = pytest.mark.skipif(
@@ -49,7 +42,6 @@ def sample_payloads(rng, shapes):
     payloads = []
     for key, rows, dim in shapes:
         matrix = rng.standard_normal((rows, dim))
-        q8, qscale, ql1 = quantize_rows(matrix)
         payloads.append(
             (
                 key,
@@ -59,9 +51,6 @@ def sample_payloads(rng, shapes):
                     "sq_norms": np.einsum("ij,ij->i", matrix, matrix),
                     "seqs": np.arange(rows, dtype=np.int64),
                     "codes": rng.integers(0, 5, size=rows).astype(np.int64),
-                    "q8": q8,
-                    "qscale": qscale,
-                    "ql1": ql1,
                 },
             )
         )
@@ -86,7 +75,7 @@ class TestLayout:
 
     def test_spec_lookup_and_pickling(self):
         blocks, size = plan_layout([(4, 3, 2)])
-        spec = ArenaSpec(kind="shm", name="x", size=size, blocks=blocks)
+        spec = ArenaSpec(path="x", size=size, blocks=blocks)
         assert spec.block(4).rows == 3
         with pytest.raises(KeyError):
             spec.block(5)
@@ -96,50 +85,17 @@ class TestLayout:
             blocks[0].offset("nonexistent")
 
 
-class TestQuantizeRows:
-    def test_zero_rows_are_exact(self):
-        q8, scales, ql1 = quantize_rows(np.zeros((3, 4)))
-        assert np.all(q8 == 0)
-        assert np.all(scales == 1.0)
-        assert np.all(ql1 == 0.0)
-
-    def test_reconstruction_error_within_half_step(self):
-        rng = np.random.default_rng(11)
-        matrix = rng.standard_normal((50, 16)) * 10.0 ** rng.integers(
-            -6, 6, size=(50, 1)
-        )
-        q8, scales, ql1 = quantize_rows(matrix)
-        assert q8.dtype == np.int8
-        assert np.abs(q8).max() <= 127
-        error = np.abs(matrix - q8.astype(np.float64) * scales[:, None])
-        assert np.all(error <= QUANT_HALF_STEP * scales[:, None])
-        np.testing.assert_allclose(
-            ql1, np.abs(q8.astype(np.float64)).sum(axis=1)
-        )
-
-    def test_integer_grid_is_exact(self):
-        """Integer vectors within range quantize with zero error."""
-        matrix = np.array([[127.0, -127.0, 0.0], [1.0, -1.0, 1.0]])
-        q8, scales, _ = quantize_rows(matrix)
-        np.testing.assert_array_equal(q8.astype(np.float64) * scales[:, None], matrix)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            quantize_rows(np.zeros(3))
-
-
 class TestArenaLifecycle:
-    @pytest.mark.parametrize("kind", ["shm", "file"])
-    def test_build_attach_views_roundtrip(self, kind, tmp_path):
+    def test_build_attach_views_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         shapes = [(0, 6, 8), (2, 1, 8), (7, 40, 8)]
         payloads = sample_payloads(rng, shapes)
-        path = str(tmp_path / "arena.bin") if kind == "file" else None
-        arena = ShardArena.build(payloads, kind=kind, path=path)
+        path = str(tmp_path / "arena.bin")
+        arena = ShardArena.build(payloads, path)
 
         def check(reader):
             # Scoped so every numpy view dies before the reader closes —
-            # live views would pin the export and delay segment teardown.
+            # live views would pin the mapping.
             for key, arrays in payloads:
                 views = reader.views(key)
                 for name, expected in arrays.items():
@@ -147,55 +103,26 @@ class TestArenaLifecycle:
                     assert not views[name].flags.writeable
 
         try:
-            assert arena.nbytes == arena.spec.size
+            assert os.path.getsize(path) == arena.spec.size
             reader = ShardArena.attach(arena.spec)
             try:
                 check(reader)
             finally:
                 reader.close()
         finally:
-            arena.destroy()
-        if kind == "file":
-            # Destroying the handle never deletes the persisted artifact.
-            assert os.path.exists(path)
-        else:
-            assert arena.spec.name not in shm_entries()
+            arena.close()
+        # Closing the handle never deletes the persisted artifact.
+        assert os.path.exists(path)
 
-    def test_views_after_close_raise(self):
+    def test_views_after_close_raise(self, tmp_path):
         rng = np.random.default_rng(6)
-        arena = ShardArena.build(sample_payloads(rng, [(0, 2, 3)]))
-        arena.destroy()
+        arena = ShardArena.build(
+            sample_payloads(rng, [(0, 2, 3)]), str(tmp_path / "arena.bin")
+        )
+        arena.close()
+        arena.close()  # idempotent
         with pytest.raises(ValueError):
             arena.views(0)
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            ShardArena.build(sample_payloads(rng, [(0, 1, 2)]), kind="tmpfs")
-        with pytest.raises(ValueError):
-            ShardArena.build(sample_payloads(rng, [(0, 1, 2)]), kind="file")
-
-    def test_attachment_cache_is_bounded(self, tmp_path):
-        rng = np.random.default_rng(8)
-        arenas = [
-            ShardArena.build(
-                sample_payloads(rng, [(0, 2, 3)]),
-                kind="file",
-                path=str(tmp_path / f"arena-{i}.bin"),
-            )
-            for i in range(4)
-        ]
-        try:
-            release_attachments()
-            cached = [attached_arena(arena.spec) for arena in arenas]
-            # The two oldest attachments were evicted and closed.
-            assert cached[0]._closed and cached[1]._closed  # noqa: SLF001
-            assert not cached[2]._closed and not cached[3]._closed  # noqa: SLF001
-            assert attached_arena(arenas[3].spec) is cached[3]
-        finally:
-            release_attachments()
-            for arena in arenas:
-                arena.destroy()
 
 
 class TestSharedBlob:
@@ -210,57 +137,3 @@ class TestSharedBlob:
         assert shm_entries() == before
         with pytest.raises(FileNotFoundError):
             SharedBlob.read(BlobSpec(name=blob.spec.name, length=blob.spec.length))
-
-
-class TestLeakRegression:
-    @LINUX_ONLY
-    def test_process_index_leaves_dev_shm_clean(self):
-        """Satellite: spawn workers, search, close — no shm entries remain."""
-        before = shm_entries()
-        similarity = SimilarityConfig(alpha=0.3, k=4)
-        index = ShardedVectorIndex(
-            similarity, window_days=15.0, max_workers=2, scoring_backend="process"
-        )
-        rng = np.random.default_rng(13)
-        index.add_many(
-            [f"i{i}" for i in range(400)],
-            rng.standard_normal((400, 8)),
-            rng.uniform(0.0, 120.0, size=400),
-            [f"cat{i % 7}" for i in range(400)],
-        )
-        index.search_many(
-            rng.standard_normal((6, 8)), rng.uniform(0.0, 130.0, size=6)
-        )
-        assert index.arena_bytes() > 0
-        # Ingest between searches remaps the arena; the stale one must go.
-        index.add("late", rng.standard_normal(8), 60.0, "catX")
-        index.search_many(
-            rng.standard_normal((3, 8)), rng.uniform(0.0, 130.0, size=3)
-        )
-        index.close()
-        assert shm_entries() == before
-
-    @LINUX_ONLY
-    def test_del_cleans_up_without_explicit_close(self):
-        before = shm_entries()
-        similarity = SimilarityConfig(alpha=0.3, k=3)
-        index = ShardedVectorIndex(
-            similarity, window_days=15.0, max_workers=2, scoring_backend="process"
-        )
-        rng = np.random.default_rng(14)
-        index.add_many(
-            [f"i{i}" for i in range(100)],
-            rng.standard_normal((100, 6)),
-            rng.uniform(0.0, 60.0, size=100),
-            ["A", "B"] * 50,
-        )
-        index.search_many(rng.standard_normal((2, 6)), [30.0, 50.0])
-        del index
-        assert shm_entries() == before
-
-
-class TestRssProbe:
-    @LINUX_ONLY
-    def test_rss_anon_is_positive_on_linux(self):
-        value = rss_anon_kb()
-        assert value is not None and value > 0
